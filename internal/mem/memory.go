@@ -14,20 +14,17 @@ import (
 // (slab, DAMN, netstack) must degrade rather than panic on it.
 var ErrNoMemory = errors.New("mem: out of memory")
 
-// Memory is the simulated physical memory of one machine: a flat byte array
-// plus the page-struct array and per-NUMA-node buddy zones. It is safe for
-// concurrent use; the buddy zones serialize internally.
+// Memory is the simulated physical memory of one machine: sparse
+// byte-addressable RAM (4 MiB extents materialised on first write, see
+// extent.go) plus the page-struct array and per-NUMA-node buddy zones. It is
+// safe for concurrent use: the buddy zones serialize internally, and
+// extents materialise and record dirty pages atomically. Ordering accesses
+// to the same bytes is the caller's job, as on real RAM.
 type Memory struct {
-	data  []byte
-	pages []Page
-	zones []*Zone
-
-	// dirty is a host-side bitmap of 256 KiB granules that Bytes has ever
-	// exposed. It exists purely so Release can hand the (large, mostly
-	// untouched) data array to the backing pool and the next Memory of the
-	// same size can scrub only the granules this one touched, instead of
-	// paying a full memclr at construction. It has no simulated meaning.
-	dirty []uint64
+	size    uint64                   // bytes of simulated RAM
+	extents []atomic.Pointer[extent] // nil entries are all-zero; the slice is nil after Release
+	pages   []Page
+	zones   []*Zone
 
 	// Counters for the evaluation harness (Fig 9 / Fig 10).
 	allocatedPages atomic.Int64
@@ -55,8 +52,9 @@ type Config struct {
 	NUMANodes int
 }
 
-// DefaultConfig models the paper's evaluation server: 128 GiB would be
-// wasteful to back with real bytes, so tests use smaller memories; the
+// DefaultConfig models the paper's evaluation server with less RAM: only
+// written extents cost host memory, but every frame still has a page
+// struct, so 128 GiB would be wasteful; tests use smaller memories and the
 // evaluation harness sizes memory to the working set it actually touches.
 func DefaultConfig() Config {
 	return Config{TotalBytes: 512 << 20, NUMANodes: 2}
@@ -72,12 +70,12 @@ func New(cfg Config) (*Memory, error) {
 	if nPages < cfg.NUMANodes*2 {
 		return nil, fmt.Errorf("mem: %d bytes is too small for %d NUMA nodes", cfg.TotalBytes, cfg.NUMANodes)
 	}
-	data, dirty := takeBacking(nPages << PageShift)
+	size := uint64(nPages) << PageShift
 	m := &Memory{
-		data:  data,
-		dirty: dirty,
-		pages: make([]Page, nPages),
-		zones: make([]*Zone, cfg.NUMANodes),
+		size:    size,
+		extents: make([]atomic.Pointer[extent], (size+extentMask)>>extentShift),
+		pages:   make([]Page, nPages),
+		zones:   make([]*Zone, cfg.NUMANodes),
 	}
 	perNode := nPages / cfg.NUMANodes
 	for i := range m.pages {
@@ -120,46 +118,75 @@ func (m *Memory) PageOfAddr(pa PhysAddr) *Page { return m.PageOf(PFNOf(pa)) }
 
 // CheckRange validates that [pa, pa+n) lies inside simulated RAM.
 func (m *Memory) CheckRange(pa PhysAddr, n int) error {
-	if n < 0 || uint64(pa)+uint64(n) > uint64(len(m.data)) {
-		return fmt.Errorf("mem: physical range [%#x,+%d) out of bounds (RAM is %d bytes)", pa, n, len(m.data))
+	if n < 0 || uint64(pa)+uint64(n) > m.size {
+		return fmt.Errorf("mem: physical range [%#x,+%d) out of bounds (RAM is %d bytes)", pa, n, m.size)
 	}
 	return nil
 }
 
 // Bytes returns the live byte slice backing [pa, pa+n). Callers are kernel
-// code or post-IOMMU device accesses; bounds are enforced. Every exposure
-// marks the covered granules dirty — the slice is mutable, so this is the
-// single choke point the backing pool relies on to know what needs
-// scrubbing on reuse (see Release).
+// code or post-IOMMU device accesses; bounds are enforced, and the span must
+// not cross a 4 MiB extent boundary (no allocation does). The slice is
+// mutable, so Bytes materialises the extent and marks the covered pages
+// dirty: it is the single choke point for writes that Zero and extent
+// recycling rely on.
 func (m *Memory) Bytes(pa PhysAddr, n int) []byte {
-	if err := m.CheckRange(pa, n); err != nil {
-		panic(err)
+	m.check(pa, n)
+	if n == 0 {
+		return nil
 	}
-	if n > 0 {
-		g0 := uint64(pa) >> granuleShift
-		g1 := (uint64(pa) + uint64(n) - 1) >> granuleShift
-		for g := g0; g <= g1; g++ {
-			m.dirty[g>>6] |= 1 << (g & 63)
-		}
+	idx, off, part := split(uint64(pa), n)
+	if part != n {
+		panic(fmt.Sprintf("mem: Bytes span [%#x,+%d) crosses an extent boundary", pa, n))
 	}
-	return m.data[pa:PhysAddr(uint64(pa)+uint64(n))]
+	e := m.materialise(idx)
+	e.markDirty(off, n)
+	return e.data[off : off+uint64(n)]
 }
 
-// Read copies n bytes at pa into dst and returns the count.
+// Read copies len(dst) bytes at pa into dst and returns the count. Bytes of
+// an extent never written read as zero without materialising it.
 func (m *Memory) Read(pa PhysAddr, dst []byte) int {
-	return copy(dst, m.Bytes(pa, len(dst)))
+	m.check(pa, len(dst))
+	for done := 0; done < len(dst); {
+		idx, off, part := split(uint64(pa)+uint64(done), len(dst)-done)
+		if e := m.extents[idx].Load(); e != nil {
+			copy(dst[done:done+part], e.data[off:])
+		} else {
+			clear(dst[done : done+part])
+		}
+		done += part
+	}
+	return len(dst)
 }
 
 // Write copies src into memory at pa and returns the count.
 func (m *Memory) Write(pa PhysAddr, src []byte) int {
-	return copy(m.Bytes(pa, len(src)), src)
+	m.check(pa, len(src))
+	for done := 0; done < len(src); {
+		idx, off, part := split(uint64(pa)+uint64(done), len(src)-done)
+		e := m.materialise(idx)
+		e.markDirty(off, part)
+		copy(e.data[off:], src[done:done+part])
+		done += part
+	}
+	return len(src)
 }
 
 // Zero clears [pa, pa+n). DAMN zeroes every chunk it takes from the page
 // allocator (§5.6 TX security argument), and the counter lets tests assert
-// that it really happened.
+// that it really happened. The counter charges every requested byte; the
+// host clears only pages that may be nonzero, and an extent never written
+// is skipped whole.
 func (m *Memory) Zero(pa PhysAddr, n int) {
-	clear(m.Bytes(pa, n))
+	m.check(pa, n)
+	for done := 0; done < n; {
+		idx, off, part := split(uint64(pa)+uint64(done), n-done)
+		if e := m.extents[idx].Load(); e != nil {
+			e.zero(off, part)
+		}
+		done += part
+	}
 	m.zeroedBytes.Add(int64(n))
 }
 

@@ -1,7 +1,9 @@
 // Package mem implements the simulated physical memory substrate that the
-// rest of the reproduction runs on: a flat byte-addressable "RAM", an array
-// of page structs (the analogue of Linux's struct page), a NUMA-zoned buddy
-// page allocator, compound pages, and a small kmalloc-style slab allocator.
+// rest of the reproduction runs on: a sparse byte-addressable "RAM" whose
+// 4 MiB extents cost no host memory until first written (extent.go), an
+// array of page structs (the analogue of Linux's struct page), a NUMA-zoned
+// buddy page allocator, compound pages, and a small kmalloc-style slab
+// allocator.
 //
 // Everything above this package — the IOMMU, the DMA API, DAMN itself, the
 // device models — addresses memory through mem.PhysAddr values and reads or

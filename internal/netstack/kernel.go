@@ -68,24 +68,25 @@ func (k *Kernel) getSKB() *SKBuff {
 }
 
 // getUserBuf pops a length-n user-copy destination from the pool when the
-// top buffer is big enough; the caller owns the contents entirely (every
-// byte of [0, n) is overwritten or zeroed by CopyToUser).
-func (k *Kernel) getUserBuf(n int) []byte {
+// top buffer is big enough, and reports its dirty length: a pooled buffer
+// may hold nonzero bytes only below it, so CopyToUser clears no more than
+// that. The caller owns the contents entirely.
+func (k *Kernel) getUserBuf(n int) (buf []byte, dirty int) {
 	if m := len(k.userBufs); m > 0 && cap(k.userBufs[m-1]) >= n {
 		b := k.userBufs[m-1]
 		k.userBufs = k.userBufs[:m-1]
-		return b[:n]
+		return b[:n], len(b)
 	}
-	return make([]byte, n)
+	return make([]byte, n), 0
 }
 
-// putUserBuf returns a user-copy buffer; the pool is bounded so a burst of
-// oversized copies cannot pin memory forever.
+// putUserBuf returns a user-copy buffer whose len is its dirty length; the
+// pool is bounded so a burst of oversized copies cannot pin memory forever.
 func (k *Kernel) putUserBuf(b []byte) {
 	if cap(b) == 0 || len(k.userBufs) >= 1024 {
 		return
 	}
-	k.userBufs = append(k.userBufs, b[:0])
+	k.userBufs = append(k.userBufs, b)
 }
 
 // SetStats attaches a metrics registry for kernel-level error accounting.

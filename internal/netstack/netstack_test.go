@@ -428,6 +428,40 @@ func TestCopyToUserPrefersSafePrefix(t *testing.T) {
 	skb.Free(nil)
 }
 
+// TestCopyToUserRecycledBufferReadsZero pins the user buffer's dirty
+// length: a short unmaterialised copy on a recycled buffer must read
+// zeroes past what it filled, and the previous copy's bytes beyond it stay
+// recorded as dirty for the copy after.
+func TestCopyToUserRecycledBufferReadsZero(t *testing.T) {
+	ma := newMachine(t, testbed.SchemeOff, 1)
+	copyOut := func(n, written int, payload []byte) []byte {
+		t.Helper()
+		skb, err := netstack.AllocSKB(ma.Kernel, nil, -1, n, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ma.Mem.Write(skb.HeadPA(), payload)
+		skb.SetReceived(n, written)
+		user := append([]byte(nil), skb.CopyToUser(nil, n)...)
+		skb.Free(nil)
+		return user
+	}
+	long := bytes.Repeat([]byte{0xee}, 4096)
+	if got := copyOut(4096, 4096, long); !bytes.Equal(got, long) {
+		t.Fatal("materialised copy lost bytes")
+	}
+	short := copyOut(2048, 100, long[:100])
+	if !bytes.Equal(short[:100], long[:100]) {
+		t.Fatal("short copy lost its materialised prefix")
+	}
+	if i := bytes.IndexByte(short[100:], 0xee); i >= 0 {
+		t.Fatalf("short copy reads stale byte at %d", 100+i)
+	}
+	if i := bytes.IndexByte(copyOut(4096, 0, nil), 0xee); i >= 0 {
+		t.Fatalf("unmaterialised copy reads stale byte at %d", i)
+	}
+}
+
 func TestSKBDoubleFreePanics(t *testing.T) {
 	ma := newMachine(t, testbed.SchemeOff, 1)
 	skb, _ := netstack.AllocSKB(ma.Kernel, nil, -1, 256, false)

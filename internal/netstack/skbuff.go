@@ -52,8 +52,9 @@ type SKBuff struct {
 	freed bool
 
 	// userBuf is the pooled CopyToUser destination recorded for recycling
-	// when the skb is freed (first copy only; callers never use the slice
-	// past the skb's lifetime).
+	// when the skb is freed (first copy only; callers never write the
+	// slice or use it past the skb's lifetime). Its len is its dirty
+	// length, see getUserBuf.
 	userBuf []byte
 
 	// Flow tags the TCP flow the segment belongs to (demux key).
@@ -240,12 +241,7 @@ func (s *SKBuff) CopyToUser(t *sim.Task, n int) []byte {
 	if n <= 0 {
 		return nil
 	}
-	user := s.k.getUserBuf(n)
-	if s.userBuf == nil {
-		// Recorded for recycling when the skb is freed; a second copy on
-		// the same skb (never on the data path) is simply left to the GC.
-		s.userBuf = user
-	}
+	user, dirty := s.k.getUserBuf(n)
 	fromSafe := s.safeLen
 	if fromSafe > n {
 		fromSafe = n
@@ -266,9 +262,21 @@ func (s *SKBuff) CopyToUser(t *sim.Task, n int) []byte {
 			filled = end
 		}
 	}
-	// A recycled buffer carries the previous copy's bytes; the
-	// unmaterialised tail must still read as zeroes.
-	clear(user[filled:])
+	// A recycled buffer carries the previous copy's bytes below dirty;
+	// the unmaterialised tail must still read as zeroes.
+	if dirty > filled {
+		clear(user[filled:min(dirty, n)])
+	}
+	if s.userBuf == nil {
+		// Recorded for recycling when the skb is freed; a second copy on
+		// the same skb (never on the data path) is simply left to the GC.
+		// The recorded len is the new dirty length: this copy's bytes, or
+		// the previous copy's if it reached past n.
+		if dirty <= n {
+			dirty = filled
+		}
+		s.userBuf = user[:dirty]
+	}
 	perf.CPUCopy(t, s.k.MemBW, n, s.k.Model.CopyCyclesPerByte, s.k.Model.CopyMemFraction)
 	return user
 }

@@ -333,11 +333,11 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 // StatsSnapshot captures the machine's metrics at the current simulated time.
 func (ma *Machine) StatsSnapshot() stats.Snapshot { return ma.Stats.Snapshot() }
 
-// Close hands the machine's simulated-RAM backing to the mem package's
-// recycling pool once a run is over and its results are extracted. Purely a
-// host-side optimisation (machine construction otherwise re-zeroes hundreds
-// of MiB each time); optional, idempotent, and any memory access after Close
-// panics.
+// Close hands the machine's simulated-RAM extents to the mem package's
+// process-wide pool once a run is over and its results are extracted.
+// Purely a host-side optimisation (the next machine reuses them instead of
+// drawing fresh zeroed memory from the Go heap); optional, idempotent, and
+// any memory access after Close panics.
 func (ma *Machine) Close() { ma.Mem.Release() }
 
 // FillAllRings primes every RX ring before a run. With fault injection on,
