@@ -1,6 +1,7 @@
 package dmaapi
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/asplos18/damn/internal/iommu"
@@ -329,6 +330,94 @@ func TestShadowPoolRecycles(t *testing.T) {
 	}
 	if ma.iommu.TLB().FlushCommands != 0 {
 		t.Fatal("shadow should never invalidate the IOTLB")
+	}
+}
+
+// TestShadowRecycledBufferHasNoStaleBytes pins the exactness of the
+// sparse shadow copies: a recycled shadow buffer still holds the previous
+// transfer, and staging a never-written buffer into it must overwrite all
+// of that, as must copying a mostly unwritten shadow buffer out over a
+// caller's stale bytes.
+func TestShadowRecycledBufferHasNoStaleBytes(t *testing.T) {
+	const size = 64 << 10
+	ma := newMachine(t)
+	ma.iommu.AttachDevice(dev)
+	sh := NewShadowScheme(ma.mem, ma.iommu, ma.model, nil)
+	e := NewEngine(ma.se, ma.mem, ma.iommu, ma.model, sh)
+	stale := bytes.Repeat([]byte{0xa5}, size)
+	nonzero := func(b []byte) int { return bytes.IndexFunc(b, func(r rune) bool { return r != 0 }) }
+
+	// TX: the device must never see the previous packet.
+	first, fresh := ma.allocBuf(t, 4), ma.allocBuf(t, 4)
+	ma.mem.Write(first, stale)
+	v1, err := e.Map(nil, dev, first, size, ToDevice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Unmap(nil, dev, v1, size, ToDevice); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := e.Map(nil, dev, fresh, size, ToDevice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v2 != v1 || sh.PoolGrowths != 1 {
+		t.Fatalf("second map did not reuse the shadow buffer (iova %#x vs %#x, %d growths)", v2, v1, sh.PoolGrowths)
+	}
+	got := make([]byte, size)
+	if _, err := ma.iommu.DMARead(dev, v2, got); err != nil {
+		t.Fatal(err)
+	}
+	if i := nonzero(got); i >= 0 {
+		t.Fatalf("device reads the previous packet's byte %#x at %d", got[i], i)
+	}
+	if err := e.Unmap(nil, dev, v2, size, ToDevice); err != nil {
+		t.Fatal(err)
+	}
+
+	// RX: a 64-byte header lands in a buffer that held stale bytes.
+	rx := ma.allocBuf(t, 4)
+	ma.mem.Write(rx, stale)
+	v3, err := e.Map(nil, dev, rx, size, FromDevice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := bytes.Repeat([]byte{0x3c}, 64)
+	if _, err := ma.iommu.DMAWrite(dev, v3, hdr); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Unmap(nil, dev, v3, size, FromDevice); err != nil {
+		t.Fatal(err)
+	}
+	ma.mem.Read(rx, got)
+	if !bytes.Equal(got[:64], hdr) {
+		t.Fatal("unmap lost the device's header")
+	}
+	if i := nonzero(got[64:]); i >= 0 {
+		t.Fatalf("caller buffer keeps stale byte %#x at %d after unmap", got[64+i], 64+i)
+	}
+	if want := uint64(3 * size); sh.CopiedBytes != want {
+		t.Fatalf("CopiedBytes = %d, want every mapped byte (%d)", sh.CopiedBytes, want)
+	}
+}
+
+// TestShadowRoundTripOfZeroesMaterialisesNothing: copying a never-written
+// buffer in and out of a never-written shadow buffer moves no host memory.
+func TestShadowRoundTripOfZeroesMaterialisesNothing(t *testing.T) {
+	ma := newMachine(t)
+	ma.iommu.AttachDevice(dev)
+	sh := NewShadowScheme(ma.mem, ma.iommu, ma.model, nil)
+	e := NewEngine(ma.se, ma.mem, ma.iommu, ma.model, sh)
+	pa := ma.allocBuf(t, 4)
+	v, err := e.Map(nil, dev, pa, 64<<10, Bidirectional)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Unmap(nil, dev, v, 64<<10, Bidirectional); err != nil {
+		t.Fatal(err)
+	}
+	if got := ma.mem.ResidentBytes(); got != 0 {
+		t.Fatalf("round trip of zeroes materialised %d bytes", got)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // allocator's largest block, and an extent is materialised only when
 // something first writes into it; until then it reads as zeroes and costs
 // no host memory. Each extent records which of its 4 KiB pages were ever
-// exposed for writing, so Zero and recycling clear dirtied pages only.
+// exposed for writing, so Zero, Copy and recycling touch dirtied pages only.
 // Sparseness is a host-side representation with no simulated meaning:
 // every byte reads exactly as it would from a dense zeroed array.
 
@@ -71,6 +71,12 @@ func (e *extent) markDirty(off uint64, n int) {
 			w.Or(bit)
 		}
 	}
+}
+
+// isDirty reports whether the page holding off may be nonzero.
+func (e *extent) isDirty(off uint64) bool {
+	p := off >> PageShift
+	return e.dirty[p>>6].Load()&(1<<(p&63)) != 0
 }
 
 // zero clears the dirty pages' share of the n bytes at off; clean pages

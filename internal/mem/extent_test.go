@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -40,9 +41,23 @@ func junk(rng *rand.Rand, n int) []byte {
 	return b
 }
 
-// TestSparseModelCheck drives random Write/Zero/Read/Bytes/Release/New
+// dirtyPages returns the dirty bit of every page [pa, pa+n) touches; a page
+// of an absent extent reads as clean.
+func dirtyPages(m *Memory, pa, n int) []bool {
+	var bits []bool
+	for p := pa >> PageShift; p<<PageShift < pa+n; p++ {
+		e := m.extents[p>>(extentShift-PageShift)].Load()
+		bits = append(bits, e != nil && e.isDirty(uint64(p<<PageShift)&extentMask))
+	}
+	return bits
+}
+
+// TestSparseModelCheck drives random Write/Zero/Copy/Read/Bytes/Release/New
 // sequences against a dense []byte reference; a New after Release runs on
-// recycled extents, which must read exactly like fresh zeroed RAM.
+// recycled extents, which must read exactly like fresh zeroed RAM. Copy
+// spans start near page and extent boundaries, so they are page-unaligned,
+// straddle extents, and meet every mix of dirty, clean and absent pages on
+// either side.
 func TestSparseModelCheck(t *testing.T) {
 	const size = 2*ExtentSize + 24*PageSize // last extent is partial
 	seeds := int64(8)
@@ -60,7 +75,7 @@ func TestSparseModelCheck(t *testing.T) {
 			if rng.Intn(50) == 0 {
 				n = size - pa // occasionally a long span across extents
 			}
-			switch rng.Intn(9) {
+			switch rng.Intn(11) {
 			case 0, 1:
 				src := junk(rng, n)
 				m.Write(PhysAddr(pa), src)
@@ -95,6 +110,19 @@ func TestSparseModelCheck(t *testing.T) {
 					m = newTestMemory(t, size, 1)
 					clear(ref)
 					zeroed = 0
+				}
+			case 9, 10:
+				src := boundaryAddr(rng, size)
+				n = min(n, size-src)
+				if pa < src+n && src < pa+n {
+					mustPanic(t, "overlapping Copy", func() { m.Copy(PhysAddr(pa), PhysAddr(src), n) })
+					break
+				}
+				before := dirtyPages(m, src, n)
+				m.Copy(PhysAddr(pa), PhysAddr(src), n)
+				copy(ref[pa:pa+n], ref[src:src+n])
+				if after := dirtyPages(m, src, n); !slices.Equal(before, after) {
+					t.Fatalf("seed %d op %d: Copy changed its source's dirty bits", seed, op)
 				}
 			}
 		}
@@ -154,6 +182,61 @@ func TestUntouchedExtentsStayAbsent(t *testing.T) {
 	if got := m.ResidentBytes(); got != ExtentSize {
 		t.Fatalf("one write materialised %d bytes, want one extent", got)
 	}
+}
+
+func TestCopyOfZeroesMaterialisesNothing(t *testing.T) {
+	m := newTestMemory(t, 3*ExtentSize, 1)
+	defer m.Release()
+	m.Copy(ExtentSize+100, 100, ExtentSize)               // absent to absent, across extents
+	m.Copy(2*ExtentSize-PageSize/2, PageSize/3, PageSize) // straddles an extent on both sides
+	if got := m.ResidentBytes(); got != 0 {
+		t.Fatalf("copying zeroes materialised %d bytes", got)
+	}
+	// A materialised but clean source page is zero too: nothing to move.
+	m.Write(0, []byte{1})
+	m.Copy(2*ExtentSize, PageSize, 16*PageSize)
+	if got := m.ResidentBytes(); got != ExtentSize {
+		t.Fatalf("copying clean pages materialised the destination: %d resident bytes", got)
+	}
+}
+
+func TestCopyLeavesSourceClean(t *testing.T) {
+	const n = 64 << 10 // a shadow buffer with a NIC header in its first page
+	m := newTestMemory(t, 2*ExtentSize, 1)
+	defer m.Release()
+	src, dst := ExtentSize-n/2, 3*PageSize+100 // src straddles the extents
+	hdr := bytes.Repeat([]byte{0xab}, 64)
+	m.Write(PhysAddr(src), hdr)
+	before := dirtyPages(m, src, n)
+	m.Copy(PhysAddr(dst), PhysAddr(src), n)
+	if after := dirtyPages(m, src, n); !slices.Equal(before, after) {
+		t.Fatalf("Copy dirtied its source: %v -> %v", before, after)
+	}
+	// dst is unaligned, so the header's page lands on two dst pages.
+	if got, want := dirtyPages(m, dst, n), append([]bool{true, true}, make([]bool, 15)...); !slices.Equal(got, want) {
+		t.Fatalf("destination dirty pages = %v, want %v", got, want)
+	}
+	got := make([]byte, n)
+	m.Read(PhysAddr(dst), got)
+	if !bytes.Equal(got[:64], hdr) || bytes.IndexFunc(got[64:], func(r rune) bool { return r != 0 }) >= 0 {
+		t.Fatal("Copy did not reproduce header then zeroes")
+	}
+}
+
+func TestCopyPanics(t *testing.T) {
+	const size = 2 * ExtentSize
+	m := newTestMemory(t, size, 1)
+	m.Copy(PageSize, 2*PageSize, PageSize) // adjacent, not overlapping
+	m.Copy(PageSize, PageSize, 0)          // empty ranges never overlap
+	mustPanic(t, "overlapping Copy", func() { m.Copy(PageSize, 2*PageSize, PageSize+1) })
+	mustPanic(t, "overlapping Copy", func() { m.Copy(2*PageSize, PageSize, PageSize+1) })
+	mustPanic(t, "Copy onto itself", func() { m.Copy(PageSize, PageSize, 1) })
+	mustPanic(t, "Copy past the end", func() { m.Copy(size-PageSize, 0, PageSize+1) })
+	mustPanic(t, "Copy from past the end", func() { m.Copy(0, size-PageSize, PageSize+1) })
+	mustPanic(t, "negative Copy", func() { m.Copy(0, PageSize, -1) })
+	m.Release()
+	mustPanic(t, "Copy after Release", func() { m.Copy(0, PageSize, 1) })
+	mustPanic(t, "empty Copy after Release", func() { m.Copy(0, PageSize, 0) })
 }
 
 func TestBytesAcrossExtentPanics(t *testing.T) {

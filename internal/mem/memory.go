@@ -129,7 +129,9 @@ func (m *Memory) CheckRange(pa PhysAddr, n int) error {
 // not cross a 4 MiB extent boundary (no allocation does). The slice is
 // mutable, so Bytes materialises the extent and marks the covered pages
 // dirty: it is the single choke point for writes that Zero and extent
-// recycling rely on.
+// recycling rely on. Those pages stay dirty for the Memory's lifetime, so
+// code that only reads must use Read or Copy instead: a read through Bytes
+// makes every later Zero and Copy over the span run full size.
 func (m *Memory) Bytes(pa PhysAddr, n int) []byte {
 	m.check(pa, n)
 	if n == 0 {
@@ -171,6 +173,36 @@ func (m *Memory) Write(pa PhysAddr, src []byte) int {
 		done += part
 	}
 	return len(src)
+}
+
+// Copy copies the n bytes at src to dst, exactly as a Read into a buffer
+// followed by a Write of it would, but moves only bytes that may be
+// nonzero. It goes page by page: a dirty source page is copied (the
+// destination page becomes dirty); a clean or absent source page reads as
+// zero, so the destination is cleared only where it is dirty and is
+// otherwise left untouched. Copy never marks the source dirty. Overlapping
+// ranges panic.
+func (m *Memory) Copy(dst, src PhysAddr, n int) {
+	m.check(dst, n)
+	m.check(src, n)
+	if n > 0 && dst < src+PhysAddr(n) && src < dst+PhysAddr(n) {
+		panic(fmt.Sprintf("mem: Copy ranges [%#x,+%d) and [%#x,+%d) overlap", dst, n, src, n))
+	}
+	for done := 0; done < n; {
+		s, d := uint64(src)+uint64(done), uint64(dst)+uint64(done)
+		// The chunk ends at the next page boundary of either side, so
+		// it is one page, and one dirty bit, on each.
+		part := min(n-done, PageSize-int(s&PageMask), PageSize-int(d&PageMask))
+		soff, doff := s&extentMask, d&extentMask
+		if se := m.extents[s>>extentShift].Load(); se != nil && se.isDirty(soff) {
+			de := m.materialise(d >> extentShift)
+			de.markDirty(doff, part)
+			copy(de.data[doff:doff+uint64(part)], se.data[soff:])
+		} else if de := m.extents[d>>extentShift].Load(); de != nil && de.isDirty(doff) {
+			clear(de.data[doff : doff+uint64(part)])
+		}
+		done += part
+	}
 }
 
 // Zero clears [pa, pa+n). DAMN zeroes every chunk it takes from the page

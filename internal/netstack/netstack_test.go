@@ -6,6 +6,7 @@ import (
 
 	"github.com/asplos18/damn/internal/device"
 	"github.com/asplos18/damn/internal/dmaapi"
+	"github.com/asplos18/damn/internal/iommu"
 	"github.com/asplos18/damn/internal/netstack"
 	"github.com/asplos18/damn/internal/sim"
 	"github.com/asplos18/damn/internal/testbed"
@@ -460,6 +461,61 @@ func TestCopyToUserRecycledBufferReadsZero(t *testing.T) {
 	if i := bytes.IndexByte(copyOut(4096, 0, nil), 0xee); i >= 0 {
 		t.Fatalf("unmaterialised copy reads stale byte at %d", i)
 	}
+}
+
+// TestSafeCopyOverRecycledSafeBuffer grows a DAMN skb's safe buffer into
+// one the previous skb filled and freed: the safe prefix must be exactly
+// the head's bytes, the unwritten part of the head reading as zeroes, and
+// so must the user copy made from it.
+func TestSafeCopyOverRecycledSafeBuffer(t *testing.T) {
+	const n = 2 * 4096 // past one page, so the safe buffer is a page block
+	ma := newMachine(t, testbed.SchemeDAMN, 1)
+	k := ma.Kernel
+	rx := func() (*netstack.SKBuff, iommu.IOVA) {
+		t.Helper()
+		skb, err := netstack.DmaAllocSKB(k, nil, testbed.NICDeviceID, 4*4096, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok := ma.Damn.IOVAOf(skb.HeadPA())
+		if !ok {
+			t.Fatal("no IOVA")
+		}
+		return skb, v
+	}
+	skb, v := rx()
+	prev, prevV := rx()
+	if _, err := ma.IOMMU.DMAWrite(testbed.NICDeviceID, prevV, bytes.Repeat([]byte{0xee}, n)); err != nil {
+		t.Fatal(err)
+	}
+	prev.SetReceived(n, n)
+	if _, err := prev.Access(nil, n); err != nil {
+		t.Fatal(err)
+	}
+	prev.Free(nil) // its safe buffer, full of 0xee, goes back to the allocator
+
+	hdr := bytes.Repeat([]byte{0x42}, 64)
+	if _, err := ma.IOMMU.DMAWrite(testbed.NICDeviceID, v, hdr); err != nil {
+		t.Fatal(err)
+	}
+	skb.SetReceived(n, len(hdr))
+	if _, err := skb.Access(nil, 32); err != nil {
+		t.Fatal(err)
+	}
+	safe, err := skb.Access(nil, n) // grows into the recycled buffer
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := make([]byte, n)
+	ma.Mem.Read(skb.HeadPA(), head)
+	if !bytes.Equal(safe, head) {
+		t.Fatalf("safe prefix differs from the head at byte %d", bytes.IndexByte(safe, 0xee))
+	}
+	want := append(hdr, make([]byte, n-len(hdr))...)
+	if user := skb.CopyToUser(nil, n); !bytes.Equal(user, want) {
+		t.Fatal("CopyToUser does not return the header then zeroes")
+	}
+	skb.Free(nil)
 }
 
 func TestSKBDoubleFreePanics(t *testing.T) {
