@@ -128,6 +128,12 @@ type NIC struct {
 	txqs  []*txRing
 	inj   *faults.Injector
 
+	// rxLane carries RX DMA completions and txLanes each egress port's
+	// wire completions. Both are monotone in time (maxima of monotone
+	// fluid reservations), so only their heads occupy the event heap.
+	rxLane  *sim.Lane
+	txLanes []*sim.Lane
+
 	// ringDevs is the DMA identity each ring uses on the bus — the SR-IOV
 	// requester ID. By default every ring carries the physical function's
 	// id (Cfg.ID); a tenant manager re-binds its rings to the tenant's
@@ -297,7 +303,9 @@ func NewNIC(se *sim.Engine, u *iommu.IOMMU, model *perf.Model, membw *sim.MemCon
 		in.nic, in.nicPort, in.sink = n, p, false
 		n.ingress = append(n.ingress, in)
 		n.egress = append(n.egress, NewLink(fmt.Sprintf("nic%d-port%d-tx", cfg.ID, p), se, cfg.WireGbps))
+		n.txLanes = append(n.txLanes, se.NewLane())
 	}
+	n.rxLane = se.NewLane()
 	pcieBytes := cfg.PCIeGbps * 1e9 / 8
 	n.pcieRX = sim.NewFluidResource("pcie-rx", pcieBytes)
 	n.pcieTX = sim.NewFluidResource("pcie-tx", pcieBytes)
@@ -805,7 +813,7 @@ func (n *NIC) deliver(ring int, seg Segment) {
 	d := n.getRXDispatch()
 	d.ring = ring
 	d.comps[0] = comp
-	n.se.At(done, d.fire)
+	n.rxLane.At(done, d.fire)
 }
 
 // ReapMissed pops the completions whose interrupts were lost on a ring —
@@ -926,7 +934,7 @@ func (n *NIC) PostTX(ring, port int, desc TXDesc) error {
 	d := n.getTXDispatch()
 	d.ring = ring
 	d.descs[0] = desc
-	n.se.At(wireDone, d.fire)
+	n.txLanes[port].At(wireDone, d.fire)
 	if eg := n.egress[port]; eg.HasPeer() && desc.Seg.Len > 0 {
 		seg := desc.Seg
 		seg.Stamp = wireDone

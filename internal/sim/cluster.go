@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -160,14 +161,14 @@ func (c *Cluster) merge(end Time) {
 		clear(s.out)
 		s.out = s.out[:0]
 	}
-	sort.Slice(msgs, func(i, j int) bool {
-		if msgs[i].at != msgs[j].at {
-			return msgs[i].at < msgs[j].at
+	slices.SortFunc(msgs, func(a, b xmsg) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		if msgs[i].src != msgs[j].src {
-			return msgs[i].src < msgs[j].src
+		if c := cmp.Compare(a.src, b.src); c != 0 {
+			return c
 		}
-		return msgs[i].seq < msgs[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	for i := range msgs {
 		m := &msgs[i]

@@ -141,3 +141,33 @@ func TestClusterRunStopsAtUntil(t *testing.T) {
 		t.Fatalf("ticks = %d, want 10", ticks)
 	}
 }
+
+// TestClusterMergeZeroAlloc checks that an epoch barrier carrying
+// cross-shard messages merges without allocating once the outboxes, the
+// merge buffer and the destination event pools are warm.
+func TestClusterMergeZeroAlloc(t *testing.T) {
+	const look = 5 * Microsecond
+	c := NewCluster(look, 1)
+	shards := []*Shard{c.AddShard(1), c.AddShard(2), c.AddShard(3)}
+	delivered := 0
+	deliver := func() { delivered++ }
+	for i, s := range shards {
+		s, dst := s, shards[(i+1)%len(shards)]
+		s.Engine().Every(look, func() {
+			at := s.Engine().Now() + look
+			s.Send(dst, at, deliver)
+			s.Send(dst, at, deliver)
+		})
+	}
+	epoch := func() { c.Run(c.Now() + look) }
+	for i := 0; i < 4; i++ {
+		epoch()
+	}
+	before := delivered
+	if avg := testing.AllocsPerRun(100, epoch); avg != 0 {
+		t.Fatalf("epoch merge allocates %.1f allocs/epoch, want 0", avg)
+	}
+	if delivered == before {
+		t.Fatal("no cross-shard message was delivered")
+	}
+}

@@ -14,7 +14,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 
@@ -46,25 +45,27 @@ func (t Time) String() string {
 }
 
 type event struct {
-	at  Time
-	seq uint64 // tie-break so equal-time events run FIFO, deterministically
-	fn  func()
+	fn func()
 	// cancelled events stay in the heap (removal from the middle of a
-	// binary heap is O(n)) but are skipped on pop: they neither execute,
-	// nor advance time, nor count as processed. When more than half the
-	// heap is cancelled the engine compacts it (see compact).
+	// heap is O(n)) but are skipped on pop: they neither execute, nor
+	// advance time, nor count as processed. When more than half the heap
+	// is cancelled the engine compacts it (see compact).
 	cancelled bool
 	// queued tracks heap membership so cancel of a currently-executing
 	// ticker event (popped, not re-enqueued yet) doesn't corrupt the
 	// cancelled-entry accounting.
 	queued bool
 	// pinned events are owned by a long-lived caller (Every reuses one
-	// event for every tick); they are never returned to the free pool.
+	// event for every tick, a Lane one event for its head); they are never
+	// returned to the free pool.
 	pinned bool
 	// tick points back to the owning ticker for pinned ticker events, so
 	// discarding a stopped ticker's cancelled event recycles the whole
 	// ticker (struct + bound closures) instead of leaking it to the GC.
 	tick *ticker
+	// lane marks a lane's head event: popping it runs the lane's front
+	// item and arms the next one (see Lane).
+	lane *Lane
 }
 
 // ticker is the reusable state behind Every: one pinned event, the wrapper
@@ -81,24 +82,80 @@ type ticker struct {
 	stopFn  func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// slot is one heap entry: the event's (at, seq) key sits inline, so sifting
+// compares keys without dereferencing the event.
+type slot struct {
+	at  Time
+	seq uint64
+	ev  *event
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil // don't retain the popped event in the backing array
-	*h = old[:n-1]
-	return e
+
+func (a *slot) before(b *slot) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// eventHeap is a 4-ary min-heap of slots ordered by (at, seq). seq is
+// unique, so the order is total and pop order is independent of the heap's
+// shape: any correct heap over the same keys pops the same sequence.
+type eventHeap []slot
+
+func (h *eventHeap) push(s slot) {
+	q := append(*h, s)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) >> 2
+		if !s.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = s
+	*h = q
+}
+
+// popTop removes the minimum slot.
+func (h *eventHeap) popTop() {
+	q := *h
+	n := len(q) - 1
+	last := q[n]
+	q[n] = slot{} // don't retain the event in the backing array
+	q = q[:n]
+	if n > 0 {
+		q.down(0, last)
+	}
+	*h = q
+}
+
+// down sifts s into the subtree rooted at i.
+func (q eventHeap) down(i int, s slot) {
+	n := len(q)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		end := min(c+4, n)
+		for j := c + 1; j < end; j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&s) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = s
+}
+
+// init establishes the heap property over arbitrary contents.
+func (q eventHeap) init() {
+	for i := (len(q) - 2) / 4; i >= 0 && len(q) > 1; i-- {
+		q.down(i, q[i])
+	}
 }
 
 // Engine is the event loop. Not safe for concurrent use: all simulation
@@ -118,6 +175,9 @@ type Engine struct {
 
 	processed uint64
 	cancelled int // cancelled events still sitting in the heap
+	// laneQueued counts lane events waiting behind their lane's head
+	// (the heads themselves are in the heap).
+	laneQueued int
 
 	// Observability (optional): metric handles are nil-safe, so the hot
 	// loop below needs no branches when stats are off.
@@ -184,11 +244,9 @@ func (e *Engine) enqueue(ev *event, t Time) {
 		t = e.now
 	}
 	e.seq++
-	ev.at = t
-	ev.seq = e.seq
 	ev.cancelled = false
 	ev.queued = true
-	heap.Push(&e.events, ev)
+	e.events.push(slot{at: t, seq: e.seq, ev: ev})
 }
 
 // release returns a popped event to the free pool. Pinned events stay owned
@@ -239,20 +297,18 @@ const compactMinCancelled = 16
 // leaves the execution order of live events bit-identical.
 func (e *Engine) compact() {
 	live := e.events[:0]
-	for _, ev := range e.events {
-		if ev.cancelled {
-			ev.queued = false
-			e.release(ev)
+	for _, s := range e.events {
+		if s.ev.cancelled {
+			s.ev.queued = false
+			e.release(s.ev)
 			continue
 		}
-		live = append(live, ev)
+		live = append(live, s)
 	}
-	for i := len(live); i < len(e.events); i++ {
-		e.events[i] = nil
-	}
+	clear(e.events[len(live):])
 	e.events = live
 	e.cancelled = 0
-	heap.Init(&e.events)
+	e.events.init()
 }
 
 // At schedules fn to run at absolute simulated time t (>= now).
@@ -274,6 +330,9 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 // no-ops until a later Every reuses the ticker; a stale handle held across
 // that reuse must not be called (it would stop the new ticker).
 func (e *Engine) Every(period Time, fn func()) (stop func()) {
+	if period <= 0 {
+		panic(fmt.Sprintf("sim: ticker period must be positive, got %v", period))
+	}
 	var tk *ticker
 	if n := len(e.freeTickers); n > 0 {
 		tk = e.freeTickers[n-1]
@@ -314,23 +373,20 @@ func (e *Engine) Every(period Time, fn func()) (stop func()) {
 func (e *Engine) Run(until Time) uint64 {
 	var n uint64
 	for len(e.events) > 0 {
-		next := e.events[0]
-		if next.cancelled {
-			heap.Pop(&e.events)
-			next.queued = false
-			e.cancelled--
-			e.release(next)
+		top := &e.events[0]
+		ev := top.ev
+		if ev.cancelled {
+			e.events.popTop()
+			e.discard(ev)
 			continue
 		}
-		if next.at > until {
+		at := top.at
+		if at > until {
 			break
 		}
-		heap.Pop(&e.events)
-		next.queued = false
-		e.now = next.at
-		fn := next.fn
-		e.release(next)
-		fn()
+		e.events.popTop()
+		e.now = at
+		e.take(ev)()
 		n++
 	}
 	if e.now < until {
@@ -345,17 +401,14 @@ func (e *Engine) Run(until Time) uint64 {
 func (e *Engine) RunUntilIdle() uint64 {
 	var n uint64
 	for len(e.events) > 0 {
-		next := heap.Pop(&e.events).(*event)
-		next.queued = false
-		if next.cancelled {
-			e.cancelled--
-			e.release(next)
+		top := e.events[0]
+		e.events.popTop()
+		if top.ev.cancelled {
+			e.discard(top.ev)
 			continue
 		}
-		e.now = next.at
-		fn := next.fn
-		e.release(next)
-		fn()
+		e.now = top.at
+		e.take(top.ev)()
 		n++
 	}
 	e.processed += n
@@ -363,9 +416,29 @@ func (e *Engine) RunUntilIdle() uint64 {
 	return n
 }
 
+// discard drops a popped cancelled event.
+func (e *Engine) discard(ev *event) {
+	ev.queued = false
+	e.cancelled--
+	e.release(ev)
+}
+
+// take finishes popping a live event and returns the callback to run: a
+// lane head yields the lane's front item (arming the next one), anything
+// else goes back to the pool.
+func (e *Engine) take(ev *event) func() {
+	if l := ev.lane; l != nil {
+		return l.advance()
+	}
+	ev.queued = false
+	fn := ev.fn
+	e.release(ev)
+	return fn
+}
+
 // Pending reports the number of queued live events (cancelled tickers
-// excluded).
-func (e *Engine) Pending() int { return len(e.events) - e.cancelled }
+// excluded, lane-resident events included).
+func (e *Engine) Pending() int { return len(e.events) - e.cancelled + e.laneQueued }
 
 // Processed reports the total number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
