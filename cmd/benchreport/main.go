@@ -2,23 +2,13 @@
 // writes it as a machine-readable JSON report (BENCH_PR10.json at the repo
 // root, regenerated by `make bench`):
 //
-//   - engine: wall-clock microbenchmarks of the sim event loop
-//     (schedule+dispatch, periodic tick, cancel-heavy ticker churn) with
-//     ns/op, B/op and allocs/op. All three paths must report 0 allocs/op —
-//     the engine's free-list pool, reusable ticker events and the ticker
-//     free list are regression-gated on it.
-//   - packet: microbenchmarks of the per-packet data path — the DAMN
-//     alloc/free fast path, a dma_map+dma_unmap round trip under every
-//     protection scheme, a warm IOTLB translation, one RX segment
-//     end-to-end through the pooled skb path, and one ARQ loss-recovery
-//     cycle (lost segment, dup-ACK fast retransmit, reorder flush, ACK
-//     through the TX path), and the multi-tenant capability check (one
-//     valid handle, one forged) that guards every map/unmap on a
-//     tenant-owned ring, plus the kernel-bypass polling path: one idle
-//     busy-poll tick and one segment through the virtqueue post/publish/
-//     harvest/repost cycle. The RX path, the retransmit path, the DAMN fast
-//     path, the capability check and both bypass paths are regression-gated
-//     at 0 allocs/op.
+//   - engine, packet: one wall-clock microbenchmark (ns/op, B/op, allocs/op)
+//     per steady-state fixture of internal/hotpath — the sim event loop in
+//     engine, the per-packet data path in packet. Both sections iterate the
+//     same case list as the root alloc gate and benchmarks, and each case
+//     must pass that gate: zero mallocs and zero bytes in steady state,
+//     counted exactly, except one documented as a known defect, which must
+//     still allocate.
 //   - fig5: wall clock of one quick-mode Figure 5 run (the multi-core
 //     netperf macro the packet-path work is measured against).
 //   - scaling: the RSS scale-out figure (quick mode) — netperf RX Gb/s at
@@ -66,23 +56,15 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/netip"
 	"os"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
-	damn "github.com/asplos18/damn"
-	damncore "github.com/asplos18/damn/internal/damn"
-	"github.com/asplos18/damn/internal/device"
-	"github.com/asplos18/damn/internal/dmaapi"
 	"github.com/asplos18/damn/internal/experiments"
-	"github.com/asplos18/damn/internal/iommu"
-	"github.com/asplos18/damn/internal/netstack"
+	"github.com/asplos18/damn/internal/hotpath"
 	"github.com/asplos18/damn/internal/sim"
-	"github.com/asplos18/damn/internal/stats"
-	"github.com/asplos18/damn/internal/tenant"
 	"github.com/asplos18/damn/internal/testbed"
 	"github.com/asplos18/damn/internal/workloads"
 )
@@ -172,313 +154,42 @@ type report struct {
 	} `json:"suite"`
 }
 
-func bench(f func(b *testing.B)) micro {
-	r := testing.Benchmark(f)
-	return micro{
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		AllocsPerOp: r.AllocsPerOp(),
-	}
-}
-
-func printMicros(section string, ms map[string]micro, order []string) {
-	fmt.Fprintf(os.Stderr, "benchreport: %s microbenchmarks…\n", section)
-	for _, name := range order {
-		m := ms[name]
-		fmt.Fprintf(os.Stderr, "  %-22s %8.1f ns/op  %4d B/op  %d allocs/op\n",
-			name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp)
-	}
-}
-
-func gateZeroAlloc(ms map[string]micro, names ...string) {
-	for _, name := range names {
-		if m := ms[name]; m.AllocsPerOp != 0 {
-			fmt.Fprintf(os.Stderr,
-				"benchreport: REGRESSION: %s allocates (%d allocs/op, want 0)\n",
-				name, m.AllocsPerOp)
+// hotPaths benchmarks every internal/hotpath fixture into the engine and
+// packet sections and exits on an allocation regression. The gate is the
+// root alloc gate's, hotpath.Gate, over a fixed op count: the benchmark's
+// own totals span seconds of wall clock and pick up runtime background
+// allocations that are not the path's.
+func hotPaths(rep *report) {
+	fmt.Fprintln(os.Stderr, "benchreport: hot-path microbenchmarks…")
+	rep.Engine, rep.Packet = map[string]micro{}, map[string]micro{}
+	for _, c := range hotpath.Cases() {
+		gateErr := fmt.Errorf("%s: the fixture failed", c.Name)
+		testing.Benchmark(func(b *testing.B) {
+			gateErr = hotpath.Gate(b, c)
+			b.SkipNow() // one gate run, not a b.N ramp
+		})
+		if gateErr != nil {
+			fmt.Fprintf(os.Stderr, "benchreport: REGRESSION: %v\n", gateErr)
 			os.Exit(1)
 		}
+		r := testing.Benchmark(hotpath.Bench(c))
+		if r.N == 0 {
+			fmt.Fprintf(os.Stderr, "benchreport: %s: the fixture failed\n", c.Name)
+			os.Exit(1)
+		}
+		m := micro{
+			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+			BytesPerOp:  r.AllocedBytesPerOp(),
+			AllocsPerOp: r.AllocsPerOp(),
+		}
+		if c.Group == "engine" {
+			rep.Engine[c.Name] = m
+		} else {
+			rep.Packet[c.Name] = m
+		}
+		fmt.Fprintf(os.Stderr, "  %-28s %8.1f ns/op  %4d B/op  %d allocs/op\n",
+			c.Name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp)
 	}
-}
-
-func engineMicros() map[string]micro {
-	return map[string]micro{
-		"schedule_run": bench(func(b *testing.B) {
-			e := sim.NewEngine(1)
-			fn := func() {}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.After(sim.Microsecond, fn)
-				e.RunUntilIdle()
-			}
-		}),
-		"ticker": bench(func(b *testing.B) {
-			e := sim.NewEngine(1)
-			stop := e.Every(sim.Microsecond, func() {})
-			b.ReportAllocs()
-			b.ResetTimer()
-			e.Run(sim.Time(b.N) * sim.Microsecond)
-			b.StopTimer()
-			stop()
-		}),
-		"cancel_storm": bench(func(b *testing.B) {
-			e := sim.NewEngine(1)
-			fn := func() {}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				stop := e.Every(sim.Microsecond, fn)
-				e.After(sim.Microsecond/2, fn)
-				stop()
-				e.RunUntilIdle()
-			}
-		}),
-	}
-}
-
-// packetMicros mirrors the packet-path shapes of bench_test.go /
-// alloc_test.go so the committed report carries the same numbers CI gates.
-func packetMicros() map[string]micro {
-	ms := make(map[string]micro)
-	ctx := damncore.Ctx{}
-
-	ms["damn_alloc_free"] = bench(func(b *testing.B) {
-		m, err := damn.NewMachine(damn.Config{Scheme: damn.SchemeDAMN, MemBytes: 512 << 20, Cores: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		d := m.DamnAllocator()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pa, err := d.Alloc(ctx, testbed.NICDeviceID, iommu.PermWrite, 1500)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := d.Free(ctx, pa); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	for _, scheme := range []damn.Scheme{
-		damn.SchemeOff, damn.SchemeStrict, damn.SchemeDeferred, damn.SchemeShadow, damn.SchemeDAMN,
-	} {
-		ms["dma_map_unmap_"+string(scheme)] = bench(func(b *testing.B) {
-			m, err := damn.NewMachine(damn.Config{Scheme: scheme, MemBytes: 512 << 20, Cores: 4})
-			if err != nil {
-				b.Fatal(err)
-			}
-			tb := m.Testbed()
-			pa, damnOwned, err := tb.Kernel.AllocBuffer(nil, testbed.NICDeviceID, iommu.PermWrite, 4096)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer tb.Kernel.FreeBuffer(nil, pa, damnOwned)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				v, err := tb.DMA.Map(nil, testbed.NICDeviceID, pa, 4096, dmaapi.FromDevice)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := tb.DMA.Unmap(nil, testbed.NICDeviceID, v, 4096, dmaapi.FromDevice); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-
-	ms["iommu_translate"] = bench(func(b *testing.B) {
-		m, err := damn.NewMachine(damn.Config{Scheme: damn.SchemeDAMN, MemBytes: 512 << 20, Cores: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf, err := m.AllocPacketBuffer(damn.RightsWrite, 4096)
-		if err != nil {
-			b.Fatal(err)
-		}
-		u := m.Testbed().IOMMU
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := u.Translate(testbed.NICDeviceID, buf.DMAAddr, true); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// One full ARQ loss-recovery cycle: a lost segment, dup-ACK detection,
-	// fast retransmit, reorder flush and the cumulative ACK through the TX
-	// DMA path — the retransmit path is regression-gated at 0 allocs/op.
-	ms["arq_retransmit"] = bench(func(b *testing.B) {
-		ma, err := testbed.NewMachine(testbed.MachineConfig{
-			Scheme:   testbed.SchemeDAMN,
-			MemBytes: 256 << 20,
-			Cores:    2,
-			RingSize: 8,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := ma.FillAllRings(); err != nil {
-			b.Fatal(err)
-		}
-		src := netip.AddrFrom4([4]byte{192, 168, 0, 1})
-		dst := netip.AddrFrom4([4]byte{10, 0, 0, 1})
-		const segLen = 1500
-		dropNext := false
-		arq := netstack.NewArqSender(ma.Sim, netstack.ArqConfig{SegLen: segLen},
-			func(seg *netstack.ArqSegment, retx bool) {
-				if !retx {
-					payload := seg.Len - netstack.HeaderLen
-					byteSeq := (seg.Seq - 1) * uint32(payload)
-					seg.Hdr = netstack.AppendHeaders(seg.HdrBuf(), src, dst, 10001, 5001, byteSeq, payload)
-					if dropNext {
-						dropNext = false
-						return
-					}
-				}
-				ma.NIC.InjectRX(0, device.Segment{Flow: 1, Seq: seg.Seq, Len: seg.Len, Header: seg.Hdr})
-			})
-		recv := &netstack.Receiver{K: ma.Kernel}
-		rr := netstack.NewReliableReceiver(recv, ma.Driver, 0, 0, arq)
-		ma.Driver.OnDeliver = func(task *sim.Task, ring int, skb *netstack.SKBuff) {
-			rr.HandleSegment(task, skb)
-		}
-		cycle := func() {
-			dropNext = true
-			for i := 0; i < 4; i++ {
-				arq.SendNext()
-			}
-			ma.Sim.RunUntilIdle()
-		}
-		for i := 0; i < 200; i++ {
-			cycle()
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cycle()
-		}
-	})
-
-	// The multi-tenant capability check the driver runs before every map and
-	// unmap on a tenant-owned ring: one valid handle, one forged one, both
-	// counted through the stats registry — the worst case the fast path
-	// pays, gated at 0 allocs/op.
-	ms["cap_check"] = bench(func(b *testing.B) {
-		tab := tenant.NewTable(4)
-		tab.SetStats(stats.NewRegistry())
-		tab.AssignRing(0, 0)
-		tab.AssignRing(1, 1)
-		tab.Present(1, tenant.Handle{Tenant: 0}) // forged: wrong tenant
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if !tab.CheckRing(0) {
-				b.Fatal("valid capability denied")
-			}
-			if tab.CheckRing(1) {
-				b.Fatal("forged capability passed")
-			}
-		}
-	})
-
-	// The kernel-bypass polling path: one idle busy-poll tick (pinned
-	// ticker, pooled poll task, empty harvest) and one segment through the
-	// full virtqueue cycle (avail post, DMA, used-element publish through
-	// the per-app domain, burst harvest, repost behind one doorbell). The
-	// engine is advanced in bounded windows — a poll ticker never idles.
-	bypassRig := func(b *testing.B, scheme testbed.Scheme) (*testbed.Machine, *netstack.BypassDriver) {
-		ma, err := testbed.NewMachine(testbed.MachineConfig{
-			Scheme: scheme, MemBytes: 256 << 20, Cores: 2, RingSize: 8,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		d := netstack.NewBypassDriver(ma.Kernel, ma.NIC, 0, testbed.BypassDeviceID,
-			scheme == testbed.SchemeBypassProt)
-		var setupErr error
-		d.Core().Submit(false, func(task *sim.Task) { setupErr = d.Setup(task) })
-		ma.Sim.Run(ma.Sim.Now())
-		if setupErr != nil {
-			b.Fatal(setupErr)
-		}
-		d.Start()
-		return ma, d
-	}
-
-	ms["bypass_poll_tick"] = bench(func(b *testing.B) {
-		ma, _ := bypassRig(b, testbed.SchemeBypassRaw)
-		interval := ma.Model.BypassPollInterval
-		for i := 0; i < 200; i++ {
-			ma.Sim.Run(ma.Sim.Now() + interval)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ma.Sim.Run(ma.Sim.Now() + interval)
-		}
-	})
-
-	ms["vq_post_harvest"] = bench(func(b *testing.B) {
-		ma, d := bypassRig(b, testbed.SchemeBypassProt)
-		window := 4 * ma.Model.BypassPollInterval
-		hdr := []byte("hdr:steady")
-		inject := func() {
-			ma.NIC.InjectRX(0, device.Segment{Flow: 1, Len: 9000, Header: hdr})
-			ma.Sim.Run(ma.Sim.Now() + window)
-		}
-		for i := 0; i < 200; i++ {
-			inject()
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			inject()
-		}
-		b.StopTimer()
-		if d.Harvested == 0 || d.Virtqueue().PublishFaults != 0 {
-			b.Fatalf("virtqueue path did not run cleanly: %d harvested, %d publish faults",
-				d.Harvested, d.Virtqueue().PublishFaults)
-		}
-	})
-
-	ms["rx_skb_path"] = bench(func(b *testing.B) {
-		ma, err := testbed.NewMachine(testbed.MachineConfig{
-			Scheme:   testbed.SchemeDAMN,
-			MemBytes: 256 << 20,
-			Cores:    2,
-			RingSize: 8,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		recv := &netstack.Receiver{K: ma.Kernel}
-		ma.Driver.OnDeliver = func(task *sim.Task, ring int, skb *netstack.SKBuff) {
-			recv.HandleSegment(task, skb)
-		}
-		if err := ma.FillAllRings(); err != nil {
-			b.Fatal(err)
-		}
-		hdr := []byte("hdr:steady")
-		inject := func() {
-			ma.NIC.InjectRX(0, device.Segment{Flow: 1, Len: 9000, Header: hdr})
-			ma.Sim.RunUntilIdle()
-		}
-		for i := 0; i < 200; i++ {
-			inject() // warm every pool before measuring the steady state
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			inject()
-		}
-	})
-
-	return ms
 }
 
 func main() {
@@ -498,29 +209,13 @@ func main() {
 	}
 
 	var rep report
-	rep.Schema = "damn-bench/6"
+	rep.Schema = "damn-bench/7"
 	rep.GoVersion = runtime.Version()
 	rep.GOOS, rep.GOARCH = runtime.GOOS, runtime.GOARCH
 	rep.NumCPU = runtime.NumCPU()
 	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
 
-	// Engine microbenchmarks — same shapes as bench_test.go.
-	rep.Engine = engineMicros()
-	printMicros("engine", rep.Engine, []string{"schedule_run", "ticker", "cancel_storm"})
-	gateZeroAlloc(rep.Engine, "schedule_run", "ticker", "cancel_storm")
-
-	// Packet-path microbenchmarks — the per-packet data path must stay
-	// allocation-free in steady state.
-	rep.Packet = packetMicros()
-	printMicros("packet", rep.Packet, []string{
-		"damn_alloc_free",
-		"dma_map_unmap_iommu-off", "dma_map_unmap_strict", "dma_map_unmap_deferred",
-		"dma_map_unmap_shadow", "dma_map_unmap_damn",
-		"iommu_translate", "cap_check", "rx_skb_path", "arq_retransmit",
-		"bypass_poll_tick", "vq_post_harvest",
-	})
-	gateZeroAlloc(rep.Packet, "damn_alloc_free", "rx_skb_path", "arq_retransmit", "cap_check",
-		"bypass_poll_tick", "vq_post_harvest")
+	hotPaths(&rep)
 
 	// Figure 5 macro: one quick-mode run, wall clock + headline number.
 	workers := *parallel

@@ -5,7 +5,7 @@
 //
 //	damnbench [-quick] [-parallel N] [-seed N]
 //	          [-exp all|table1|fig2|fig4|fig5|fig6|table3|fig7|fig8|fig9|fig10|fig11|scaling|chaos|recovery|loss|cluster|tenants|bypass]
-//	          [-recovery] [-scaling] [-loss] [-cluster] [-tenants] [-bypass] [-topo-workers N]
+//	          [-recovery] [-topo-workers N]
 //	          [-faults P] [-fault-seed N] [-stats out.json] [-trace out.trace]
 //
 // The default full-fidelity run takes a few minutes; -quick shrinks the
@@ -33,45 +33,48 @@
 // With -exp chaos, -recovery also attaches the supervisor to the chaos
 // machines, so chaos storms are contained instead of ridden out.
 //
-// -scaling (or -exp scaling) adds the RSS scale-out figure: netperf RX
-// throughput at 1/2/4/8/16 simulated cores per scheme, with flows spread
-// across one RX ring per core by the deterministic Toeplitz hash. The run
-// fails if any RX completion executes off its ring's core or any DAMN
-// request is clamped to a foreign shard.
+// Like chaos and recovery, the entries below are not paper figures: -exp all
+// leaves them out, and -exp all,<name> adds one to the full run.
 //
-// -loss (or -exp loss) adds the loss-resilience figure: reliable (ARQ)
-// flows per scheme over a lossy link (0–5% drop/corrupt), reporting
-// delivered goodput, retransmission rate, CPU per delivered megabyte, and
-// a chaos column where the same flows ride the uniform all-kinds fault
-// schedule under the recovery supervisor. The fault schedule is rooted at
-// -fault-seed and replays exactly.
+// -exp scaling adds the RSS scale-out figure: netperf RX throughput at
+// 1/2/4/8/16 simulated cores per scheme, with flows spread across one RX
+// ring per core by the deterministic Toeplitz hash. The run fails if any RX
+// completion executes off its ring's core or any DAMN request is clamped to
+// a foreign shard.
 //
-// -tenants (or -exp tenants) adds the multi-tenant isolation figure: N
-// tenants (1/2/4/8) share one protected NIC, each with its own virtual
-// function — a private IOMMU domain, DAMN cache generation and RSS ring
-// pair — behind a capability-checked buffer handoff and a weighted fair
-// share of the PCIe ceiling. For every N > 1 datapoint one tenant is
-// compromised (forged capabilities, DMA probes into sibling IOVA ranges, a
-// VF-filtered DMA-fault storm); the row reports the neighbours' worst
-// goodput ratio, where the containment ladder left the attacker, and what
-// the capability gate and per-tenant domains blocked.
+// -exp loss adds the loss-resilience figure: reliable (ARQ) flows per scheme
+// over a lossy link (0–5% drop/corrupt), reporting delivered goodput,
+// retransmission rate, CPU per delivered megabyte, and a chaos column where
+// the same flows ride the uniform all-kinds fault schedule under the
+// recovery supervisor. The fault schedule is rooted at -fault-seed and
+// replays exactly.
 //
-// -bypass (or -exp bypass) adds the kernel-bypass figure: the five kernel
-// schemes under single-core netperf RX next to bypass-raw (virtio-style
-// polling rings, permanent identity mappings, no protection — the DPDK
-// baseline) and bypass-prot (the same rings behind a per-app IOMMU domain
-// registered once at setup). Rows report goodput, CPU microseconds per
-// megabyte (busy-poll spin included), idle busy-poll burn, and the measured
-// Table 1 safety verdicts; the run fails unless raw beats iommu-off, prot
-// stays within 10% of raw, and both burn idle CPU. The bypass family also
-// appears as extra rows of the -scaling figure.
+// -exp tenants adds the multi-tenant isolation figure: N tenants (1/2/4/8)
+// share one protected NIC, each with its own virtual function — a private
+// IOMMU domain, DAMN cache generation and RSS ring pair — behind a
+// capability-checked buffer handoff and a weighted fair share of the PCIe
+// ceiling. For every N > 1 datapoint one tenant is compromised (forged
+// capabilities, DMA probes into sibling IOVA ranges, a VF-filtered DMA-fault
+// storm); the row reports the neighbours' worst goodput ratio, where the
+// containment ladder left the attacker, and what the capability gate and
+// per-tenant domains blocked.
 //
-// -cluster (or -exp cluster) adds the multi-machine cluster figure: per
-// scheme, a 4-sender incast storm through a tail-dropping router and a
-// 2-client/2-server memcached cluster behind a load balancer, both on the
-// sharded conservative-parallel topology engine. -topo-workers N advances
-// N machines concurrently inside lookahead epochs; the figure's rows are
-// byte-identical for any value (1 = serial reference).
+// -exp bypass adds the kernel-bypass figure: the five kernel schemes under
+// single-core netperf RX next to bypass-raw (virtio-style polling rings,
+// permanent identity mappings, no protection — the DPDK baseline) and
+// bypass-prot (the same rings behind a per-app IOMMU domain registered once
+// at setup). Rows report goodput, CPU microseconds per megabyte (busy-poll
+// spin included), idle busy-poll burn, and the measured Table 1 safety
+// verdicts; the run fails unless raw beats iommu-off, prot stays within 10%
+// of raw, and both burn idle CPU. The bypass family also appears as extra
+// rows of the scaling figure.
+//
+// -exp cluster adds the multi-machine cluster figure: per scheme, a 4-sender
+// incast storm through a tail-dropping router and a 2-client/2-server
+// memcached cluster behind a load balancer, both on the sharded
+// conservative-parallel topology engine. -topo-workers N advances N machines
+// concurrently inside lookahead epochs; the figure's rows are byte-identical
+// for any value (1 = serial reference).
 package main
 
 import (
@@ -95,11 +98,6 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 1, "seed of the deterministic fault schedule (used with -faults or -exp chaos)")
 	exp := flag.String("exp", "all", "experiment to run (comma separated): all, table1, fig2, fig4, fig5, fig6, table3, fig7, fig8, fig9, fig10, fig11, ablations, footnote5, scaling, chaos, recovery, loss, cluster, tenants, bypass")
 	recover := flag.Bool("recovery", false, "fault-domain recovery: add the recovery figure to the run, and attach the device-recovery supervisor to chaos machines")
-	scaling := flag.Bool("scaling", false, "RSS scale-out: add the Gb/s vs. core-count figure to the run")
-	loss := flag.Bool("loss", false, "loss resilience: add the ARQ goodput-vs-link-loss figure to the run")
-	cluster := flag.Bool("cluster", false, "multi-machine topologies: add the incast + memcached cluster figure to the run")
-	tenants := flag.Bool("tenants", false, "multi-tenant isolation: add the fairness + compromised-tenant blast-radius figure to the run")
-	bypass := flag.Bool("bypass", false, "kernel bypass: add the polling-path vs. kernel-stack figure to the run")
 	topoWorkers := flag.Int("topo-workers", 1, "host workers advancing a topology's machines in parallel (output is identical for any value)")
 	statsOut := flag.String("stats", "", "write per-figure metrics snapshots to this JSON file")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event file of every simulated machine")
@@ -122,21 +120,6 @@ func main() {
 	}
 	if *recover {
 		want["recovery"] = true
-	}
-	if *scaling {
-		want["scaling"] = true
-	}
-	if *loss {
-		want["loss"] = true
-	}
-	if *cluster {
-		want["cluster"] = true
-	}
-	if *tenants {
-		want["tenants"] = true
-	}
-	if *bypass {
-		want["bypass"] = true
 	}
 	all := want["all"]
 

@@ -2,6 +2,7 @@ package dmaapi
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -185,6 +186,7 @@ type DeferredScheme struct {
 	se *sim.Engine
 
 	pending   []deferredEntry
+	flushDevs []int // per-flush scratch, reused so a flush never allocates
 	timerSet  bool
 	Flushes   uint64
 	MaxWindow int // high-water mark of batched entries, for tests
@@ -274,15 +276,14 @@ func (s *DeferredScheme) flushLocked(c perf.Charger) {
 	if task, ok := c.(*sim.Task); ok && task != nil {
 		s.invLock.Lock(task, s.model.InvLockHoldCycles)
 	}
-	devs := map[int]bool{}
-	var order []int
+	order := s.flushDevs[:0]
 	for _, e := range s.pending {
-		if !devs[e.dev] {
-			devs[e.dev] = true
+		if !slices.Contains(order, e.dev) {
 			order = append(order, e.dev)
 		}
 	}
 	sort.Ints(order) // invalidation order is simulation-visible; keep it deterministic
+	s.flushDevs = order
 	for _, dev := range order {
 		if err := s.u.InvQ().Submit(iommu.Command{Kind: iommu.InvDomain, Dev: dev}); err != nil {
 			// Domain invalidations are always well-formed and a full

@@ -11,152 +11,52 @@ type Figure struct {
 	// asked for by name.
 	Paper bool
 	Run   func(Options) (string, error)
+	// run also returns the typed rows behind the text, so the golden
+	// harness can compare rows as well as rendered output.
+	run func(Options) (rows any, text string, err error)
+}
+
+// fig builds a catalog entry from a figure's row producer and renderer.
+func fig[R any](name string, paper bool, run func(Options) (R, error), render func(R) string) Figure {
+	f := Figure{Name: name, Paper: paper}
+	f.run = func(o Options) (any, string, error) {
+		rows, err := run(o)
+		if err != nil {
+			return nil, "", err
+		}
+		return rows, render(rows), nil
+	}
+	f.Run = func(o Options) (string, error) {
+		_, text, err := f.run(o)
+		return text, err
+	}
+	return f
 }
 
 // Catalog returns every figure in the canonical output order used by
-// cmd/damnbench, the determinism tests and the bench harness.
+// cmd/damnbench, the golden harness and the bench harness.
 func Catalog() []Figure {
 	return []Figure{
-		{"table1", true, func(o Options) (string, error) {
-			rows, err := Table1(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderTable1(rows), nil
-		}},
-		{"fig4", true, func(o Options) (string, error) {
-			rows, err := Fig4(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderFig4(rows), nil
-		}},
-		{"fig5", true, func(o Options) (string, error) {
-			rows, err := Fig5(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderFig5(rows), nil
-		}},
-		{"fig6", true, func(o Options) (string, error) {
-			rows, err := Fig6(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderFig6(rows), nil
-		}},
-		{"table3", true, func(o Options) (string, error) {
-			rows, err := Table3(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderTable3(rows), nil
-		}},
-		{"fig2", true, func(o Options) (string, error) {
-			rows, err := Fig2(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderFig2(rows), nil
-		}},
-		{"fig7", true, func(o Options) (string, error) {
-			rows, err := Fig7(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderFig7(rows), nil
-		}},
-		{"fig8", true, func(o Options) (string, error) {
-			rows, err := Fig8(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderFig8(rows), nil
-		}},
-		{"fig9", true, func(o Options) (string, error) {
-			points, err := Fig9(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderFig9(points), nil
-		}},
-		{"fig10", true, func(o Options) (string, error) {
-			rows, err := Fig10(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderFig10(rows), nil
-		}},
-		{"fig11", true, func(o Options) (string, error) {
-			rows, err := Fig11(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderFig11(rows), nil
-		}},
-		{"ablations", true, func(o Options) (string, error) {
-			rows, err := Ablations(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderAblations(rows), nil
-		}},
-		{"footnote5", true, func(o Options) (string, error) {
-			rows, err := Footnote5(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderFootnote5(rows), nil
-		}},
-		{"scaling", false, func(o Options) (string, error) {
-			rows, err := Scaling(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderScaling(rows), nil
-		}},
-		{"chaos", false, func(o Options) (string, error) {
-			rows, err := Chaos(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderChaos(rows), nil
-		}},
-		{"recovery", false, func(o Options) (string, error) {
-			rows, err := RecoveryFigure(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderRecovery(rows), nil
-		}},
-		{"loss", false, func(o Options) (string, error) {
-			rows, err := Loss(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderLoss(rows), nil
-		}},
-		{"cluster", false, func(o Options) (string, error) {
-			rows, err := Cluster(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderCluster(rows), nil
-		}},
-		{"tenants", false, func(o Options) (string, error) {
-			rows, err := Tenants(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderTenants(rows), nil
-		}},
-		{"bypass", false, func(o Options) (string, error) {
-			rows, err := Bypass(o)
-			if err != nil {
-				return "", err
-			}
-			return RenderBypass(rows), nil
-		}},
+		fig("table1", true, Table1, RenderTable1),
+		fig("fig4", true, Fig4, RenderFig4),
+		fig("fig5", true, Fig5, RenderFig5),
+		fig("fig6", true, Fig6, RenderFig6),
+		fig("table3", true, Table3, RenderTable3),
+		fig("fig2", true, Fig2, RenderFig2),
+		fig("fig7", true, Fig7, RenderFig7),
+		fig("fig8", true, Fig8, RenderFig8),
+		fig("fig9", true, Fig9, RenderFig9),
+		fig("fig10", true, Fig10, RenderFig10),
+		fig("fig11", true, Fig11, RenderFig11),
+		fig("ablations", true, Ablations, RenderAblations),
+		fig("footnote5", true, Footnote5, RenderFootnote5),
+		fig("scaling", false, Scaling, RenderScaling),
+		fig("chaos", false, Chaos, RenderChaos),
+		fig("recovery", false, RecoveryFigure, RenderRecovery),
+		fig("loss", false, Loss, RenderLoss),
+		fig("cluster", false, Cluster, RenderCluster),
+		fig("tenants", false, Tenants, RenderTenants),
+		fig("bypass", false, Bypass, RenderBypass),
 	}
 }
 
@@ -165,11 +65,11 @@ func Catalog() []Figure {
 // the returned text is byte-identical for any Options.Parallel value.
 func RunSuite(opts Options) (string, error) {
 	var b strings.Builder
-	for _, fig := range Catalog() {
-		if !fig.Paper {
+	for _, f := range Catalog() {
+		if !f.Paper {
 			continue
 		}
-		out, err := fig.Run(opts)
+		out, err := f.Run(opts)
 		if err != nil {
 			return "", err
 		}

@@ -1,42 +1,22 @@
 package experiments
 
 import (
-	"reflect"
 	"testing"
 
 	"github.com/asplos18/damn/internal/testbed"
 )
 
-// TestBypassParallelMatchesSerial extends the determinism contract to the
-// kernel-bypass figure: same seed, any worker count, repeated runs — the
-// rows and the rendered table must be byte-identical. The serial rows also
-// pin the figure's safety verdicts, which are measured by attack probes and
-// must replay exactly.
-func TestBypassParallelMatchesSerial(t *testing.T) {
-	serial, err := Bypass(Options{Quick: true, Seed: 1, Parallel: 1})
+// TestBypassShape pins the figure's measured safety verdicts — attack
+// probes must land on bypass-raw, stay inside bypass-prot's registered pool,
+// and find the TOCTTOU window open on both — and that the interrupt-driven
+// schemes burn no idle CPU. (The golden harness pins the rest of the rows.)
+func TestBypassShape(t *testing.T) {
+	rows, err := Bypass(Options{Quick: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Bypass(Options{Quick: true, Seed: 1, Parallel: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := Bypass(Options{Quick: true, Seed: 1, Parallel: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Errorf("parallel bypass rows diverge from serial:\nserial   %+v\nparallel %+v", serial, par)
-	}
-	if !reflect.DeepEqual(par, again) {
-		t.Errorf("two parallel bypass runs diverge:\n%+v\n%+v", par, again)
-	}
-	if RenderBypass(serial) != RenderBypass(par) {
-		t.Error("rendered bypass figure differs between serial and parallel")
-	}
-
 	byScheme := map[string]BypassRow{}
-	for _, r := range serial {
+	for _, r := range rows {
 		byScheme[r.Scheme] = r
 	}
 	raw := byScheme[string(testbed.SchemeBypassRaw)]

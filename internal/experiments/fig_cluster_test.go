@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -39,34 +38,5 @@ func TestClusterFigureShape(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestClusterFigureParallelMatchesSerial is the figure-level identity bar:
-// the cluster rows — and the rendered text — must be byte-identical
-// whether the topologies advance serially or with 4 host workers per
-// topology and 4 figure-level workers, and exactly replayable.
-func TestClusterFigureParallelMatchesSerial(t *testing.T) {
-	skipInShort(t)
-	serial, err := Cluster(Options{Quick: true, Seed: 5, Parallel: 1, TopoWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Cluster(Options{Quick: true, Seed: 5, Parallel: 4, TopoWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := Cluster(Options{Quick: true, Seed: 5, Parallel: 4, TopoWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Errorf("parallel cluster rows diverge from serial:\nserial   %+v\nparallel %+v", serial, par)
-	}
-	if !reflect.DeepEqual(par, again) {
-		t.Errorf("two parallel cluster runs diverge:\n%+v\n%+v", par, again)
-	}
-	if RenderCluster(serial) != RenderCluster(par) {
-		t.Error("rendered cluster text differs between serial and parallel")
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -32,24 +31,5 @@ func TestRecoveryFigureShape(t *testing.T) {
 	out := RenderRecovery(rows)
 	if !strings.Contains(out, "damn") || !strings.Contains(out, "MTTR") {
 		t.Errorf("render missing expected content:\n%s", out)
-	}
-}
-
-// TestRecoveryFigureParallelMatchesSerial: the same -fault-seed must yield
-// byte-identical recovery output serial and parallel.
-func TestRecoveryFigureParallelMatchesSerial(t *testing.T) {
-	serial, err := RecoveryFigure(Options{Quick: true, FaultSeed: 3, Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RecoveryFigure(Options{Quick: true, FaultSeed: 3, Parallel: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Errorf("parallel recovery rows diverge from serial:\nserial   %+v\nparallel %+v", serial, par)
-	}
-	if RenderRecovery(serial) != RenderRecovery(par) {
-		t.Error("rendered recovery text differs between serial and parallel")
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -11,7 +10,7 @@ import (
 )
 
 // quickTenants runs a reduced grid (damn scheme only) at quick windows —
-// the full 5-scheme × 4-count grid belongs to `make tenants`.
+// the full 5-scheme × 4-count grid belongs to the golden harness.
 func quickTenants(t *testing.T, n int, attack bool) workloads.TenantsResult {
 	t.Helper()
 	res, err := workloads.RunTenants(workloads.TenantsConfig{
@@ -50,40 +49,6 @@ func TestTenantsBlastRadiusGate(t *testing.T) {
 	}
 	if res.ProbesLanded != 0 {
 		t.Errorf("%d probes landed through per-tenant domains, want 0", res.ProbesLanded)
-	}
-}
-
-// TestTenantsFigureParallelMatchesSerial: the tenants figure must be
-// byte-identical for any worker count. The grid is trimmed via Quick and
-// exercised at two Parallel values over identical options.
-func TestTenantsFigureParallelMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full tenants grid is slow; run via make tenants")
-	}
-	serial, err := Tenants(Options{Quick: true, FaultSeed: 3, Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Tenants(Options{Quick: true, FaultSeed: 3, Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Error("parallel tenants rows diverge from serial")
-	}
-	if RenderTenants(serial) != RenderTenants(par) {
-		t.Error("rendered tenants text differs between serial and parallel")
-	}
-}
-
-// TestTenantsSeedReplayFigure: two runs of the same (scheme, count, seed)
-// datapoint must agree exactly — the figure is a pure function of its
-// seeds.
-func TestTenantsSeedReplayFigure(t *testing.T) {
-	a := quickTenants(t, 2, true)
-	b := quickTenants(t, 2, true)
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("tenants datapoint replay diverged:\n  a=%+v\n  b=%+v", a, b)
 	}
 }
 

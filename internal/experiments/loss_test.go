@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -79,32 +78,5 @@ func TestLossFigureShape(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestLossParallelMatchesSerial: the loss figure must be byte-identical for
-// any worker count, and exactly replayable with the same fault seed.
-func TestLossParallelMatchesSerial(t *testing.T) {
-	skipInShort(t)
-	serial, err := Loss(Options{Quick: true, FaultSeed: 7, Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Loss(Options{Quick: true, FaultSeed: 7, Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := Loss(Options{Quick: true, FaultSeed: 7, Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Errorf("parallel loss rows diverge from serial:\nserial   %+v\nparallel %+v", serial, par)
-	}
-	if !reflect.DeepEqual(par, again) {
-		t.Errorf("two parallel loss runs diverge:\n%+v\n%+v", par, again)
-	}
-	if RenderLoss(serial) != RenderLoss(par) {
-		t.Error("rendered loss text differs between serial and parallel")
 	}
 }

@@ -130,80 +130,3 @@ func TestRunJobsConcurrencyAndTracerClamp(t *testing.T) {
 		t.Errorf("shared tracer must force serial, saw %d jobs in flight", peak)
 	}
 }
-
-// TestTable1ParallelMatchesSerial reproduces one real figure at several
-// worker counts; rows and rendered text must be byte-identical. Runs in
-// -short mode too, so the -race CI pass exercises the parallel path.
-func TestTable1ParallelMatchesSerial(t *testing.T) {
-	serial, err := Table1(Options{Quick: true, Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Table1(Options{Quick: true, Parallel: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := Table1(Options{Quick: true, Parallel: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Errorf("parallel Table1 rows diverge from serial:\nserial   %+v\nparallel %+v", serial, par)
-	}
-	if !reflect.DeepEqual(par, again) {
-		t.Errorf("two parallel Table1 runs diverge:\n%+v\n%+v", par, again)
-	}
-	if RenderTable1(serial) != RenderTable1(par) {
-		t.Error("rendered Table1 text differs between serial and parallel")
-	}
-}
-
-// TestSuiteParallelMatchesSerial is the acceptance test for the parallel
-// engine: the full quick-mode suite run with Parallel=4 must produce output
-// byte-identical to Parallel=1, the stats snapshots must be deep-equal in
-// content and order, and a second parallel run with the same seed must
-// reproduce the first exactly.
-func TestSuiteParallelMatchesSerial(t *testing.T) {
-	skipInShort(t)
-	run := func(parallel int) (string, []emission) {
-		var c capture
-		out, err := RunSuite(c.opts(Options{Quick: true, Seed: 1, Parallel: parallel}))
-		if err != nil {
-			t.Fatalf("suite with Parallel=%d: %v", parallel, err)
-		}
-		return out, c.emits
-	}
-	serialOut, serialEmits := run(1)
-	parOut, parEmits := run(4)
-	if serialOut != parOut {
-		t.Errorf("suite output differs between -parallel 1 and -parallel 4:\n%s", firstDiff(serialOut, parOut))
-	}
-	if !reflect.DeepEqual(serialEmits, parEmits) {
-		t.Error("stats emissions differ between -parallel 1 and -parallel 4")
-	}
-	againOut, againEmits := run(4)
-	if parOut != againOut {
-		t.Errorf("two -parallel 4 runs with the same seed differ:\n%s", firstDiff(parOut, againOut))
-	}
-	if !reflect.DeepEqual(parEmits, againEmits) {
-		t.Error("stats emissions differ between two identical parallel runs")
-	}
-}
-
-// firstDiff renders the first position where two strings diverge.
-func firstDiff(a, b string) string {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			lo := i - 80
-			if lo < 0 {
-				lo = 0
-			}
-			return fmt.Sprintf("first divergence at byte %d:\nA: …%q\nB: …%q", i, a[lo:i+1], b[lo:i+1])
-		}
-	}
-	return fmt.Sprintf("lengths differ: %d vs %d", len(a), len(b))
-}

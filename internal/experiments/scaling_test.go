@@ -9,34 +9,6 @@ import (
 	"github.com/asplos18/damn/internal/workloads"
 )
 
-// TestScalingParallelMatchesSerial is the determinism contract extended
-// through RSS: the same seed and flow set must hash to identical ring
-// assignments whatever the host-side worker count, so the rendered scaling
-// figure is byte-identical for serial, parallel, and repeated runs.
-func TestScalingParallelMatchesSerial(t *testing.T) {
-	serial, err := Scaling(Options{Quick: true, Seed: 1, Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Scaling(Options{Quick: true, Seed: 1, Parallel: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := Scaling(Options{Quick: true, Seed: 1, Parallel: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Errorf("parallel scaling rows diverge from serial:\nserial   %+v\nparallel %+v", serial, par)
-	}
-	if !reflect.DeepEqual(par, again) {
-		t.Errorf("two parallel scaling runs diverge:\n%+v\n%+v", par, again)
-	}
-	if RenderScaling(serial) != RenderScaling(par) {
-		t.Error("rendered scaling figure differs between serial and parallel")
-	}
-}
-
 // TestScalingMonotoneAndDivergent pins the figure's acceptance shape:
 // throughput grows monotonically with core count for iommu-off and DAMN,
 // and strict — serialized by its invalidation lock — has the flattest

@@ -21,8 +21,9 @@ type Core struct {
 	freeAt Time
 	busy   Time
 	// queue is the FIFO run queue: qhead indexes the next task so popping
-	// is O(1) without shifting; the slice resets when it drains, keeping
-	// one backing array alive for the core's lifetime.
+	// is O(1) without shifting; the slice resets when it drains and is
+	// compacted when an append would grow it behind a non-zero qhead, so a
+	// core that never drains keeps its array bounded by its peak depth.
 	queue   []*Task
 	qhead   int
 	running bool
@@ -138,6 +139,12 @@ func (c *Core) Submit(interrupt bool, fn func(*Task)) {
 	} else {
 		t = &Task{core: c, Interrupt: interrupt, fn: fn}
 		t.run = func() { t.core.execute(t) }
+	}
+	if c.qhead > 0 && len(c.queue) == cap(c.queue) {
+		n := copy(c.queue, c.queue[c.qhead:])
+		clear(c.queue[n:])
+		c.queue = c.queue[:n]
+		c.qhead = 0
 	}
 	c.queue = append(c.queue, t)
 	c.dispatch()

@@ -502,3 +502,40 @@ func TestCoreTaskStatsAndTrace(t *testing.T) {
 		t.Fatalf("trace has %d events, want 3", tr.Len())
 	}
 }
+
+// TestCoreQueueBoundedWhenSaturated keeps a core saturated for 100k tasks —
+// every task submits its successor before the queue drains — and checks
+// that the run queue's backing array stays within twice its peak depth and
+// that tasks still run in submission order.
+func TestCoreQueueBoundedWhenSaturated(t *testing.T) {
+	const total, depth = 100_000, 64
+	e := NewEngine(1)
+	c := NewCore(e, 0, 0, 2e9)
+	var submitted, next, peak int
+	var submit func()
+	submit = func() {
+		id := submitted
+		submitted++
+		c.Submit(false, func(task *Task) {
+			if id != next {
+				t.Fatalf("task %d ran when task %d was due", id, next)
+			}
+			next++
+			task.Charge(100)
+			if submitted < total {
+				submit()
+			}
+		})
+		peak = max(peak, c.QueueLen())
+	}
+	for i := 0; i < depth; i++ {
+		submit()
+	}
+	e.RunUntilIdle()
+	if next != total {
+		t.Fatalf("ran %d tasks, want %d", next, total)
+	}
+	if cap(c.queue) > 2*peak {
+		t.Fatalf("run queue capacity %d for a peak depth of %d; the array grows behind qhead", cap(c.queue), peak)
+	}
+}
