@@ -27,7 +27,7 @@ test:
 	$(GO) test ./...
 
 # The race detector slows the simulations ~10×; -short trims the golden
-# harness to five entries (still at both parallel settings) and skips the
+# harness to table1 and fig4 (still at both parallel settings) and skips the
 # figure shape tests, so the pass stays bounded.
 race:
 	$(GO) test -race -short -timeout 20m ./...

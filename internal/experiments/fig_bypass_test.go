@@ -36,3 +36,10 @@ func TestBypassShape(t *testing.T) {
 		}
 	}
 }
+
+// TestBypassParallelMatchesSerial extends the determinism contract to the
+// kernel-bypass figure at a second seed: any worker count, repeated runs —
+// the rows, the rendered table and the stats must be identical.
+func TestBypassParallelMatchesSerial(t *testing.T) {
+	parallelMatchesSerial(t, "bypass", Options{Quick: true, Seed: 2})
+}

@@ -40,3 +40,12 @@ func TestClusterFigureShape(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterFigureParallelMatchesSerial is the figure-level identity bar:
+// the cluster rows — and the rendered text — must be byte-identical
+// whether the topologies advance serially or with 4 host workers per
+// topology and 4 figure-level workers, and exactly replayable.
+func TestClusterFigureParallelMatchesSerial(t *testing.T) {
+	skipInShort(t)
+	parallelMatchesSerial(t, "cluster", Options{Quick: true, Seed: 5})
+}

@@ -33,3 +33,9 @@ func TestRecoveryFigureShape(t *testing.T) {
 		t.Errorf("render missing expected content:\n%s", out)
 	}
 }
+
+// TestRecoveryFigureParallelMatchesSerial: the same -fault-seed must yield
+// byte-identical recovery output serial and parallel.
+func TestRecoveryFigureParallelMatchesSerial(t *testing.T) {
+	parallelMatchesSerial(t, "recovery", Options{Quick: true, FaultSeed: 3})
+}

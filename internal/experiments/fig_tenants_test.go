@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -49,6 +50,25 @@ func TestTenantsBlastRadiusGate(t *testing.T) {
 	}
 	if res.ProbesLanded != 0 {
 		t.Errorf("%d probes landed through per-tenant domains, want 0", res.ProbesLanded)
+	}
+}
+
+// TestTenantsFigureParallelMatchesSerial: the tenants figure must be
+// byte-identical for any worker count at a fault seed other than the
+// goldens', and exactly replayable.
+func TestTenantsFigureParallelMatchesSerial(t *testing.T) {
+	skipInShort(t)
+	parallelMatchesSerial(t, "tenants", Options{Quick: true, FaultSeed: 3})
+}
+
+// TestTenantsSeedReplayFigure: two runs of the same (scheme, count, seed)
+// datapoint must agree exactly — the figure is a pure function of its
+// seeds.
+func TestTenantsSeedReplayFigure(t *testing.T) {
+	a := quickTenants(t, 2, true)
+	b := quickTenants(t, 2, true)
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("tenants datapoint replay diverged:\n  a=%+v\n  b=%+v", a, b)
 	}
 }
 

@@ -20,6 +20,10 @@ var update = flag.Bool("update", false, "rewrite the testdata/quick goldens from
 // entry emits through OnStats (<name>.counters).
 const goldenDir = "testdata/quick"
 
+// goldenOpts are the options the goldens record: damnbench -quick with its
+// default seeds.
+var goldenOpts = Options{Quick: true, Seed: 1, FaultSeed: 1}
+
 // goldenRun is one run of a catalog entry: its typed rows, the text
 // damnbench prints for it, and every OnStats emission in order.
 type goldenRun struct {
@@ -68,10 +72,64 @@ func counterLines(emits []emission) string {
 }
 
 // shortGolden lists the entries TestCatalogGolden still runs under -short,
-// so the race pass keeps exercising the parallel runner: table1, fig4 (the
-// cheapest entry with stats emissions to replay) and the entries whose
-// serial-vs-parallel checks ran in -short before the harness existed.
-var shortGolden = map[string]bool{"table1": true, "fig4": true, "scaling": true, "recovery": true, "bypass": true}
+// so the race pass keeps exercising the parallel runner: table1 and fig4
+// (the cheapest entry with stats emissions to replay). The per-figure
+// ParallelMatchesSerial tests that run in -short add scaling, recovery and
+// bypass at other seeds.
+var shortGolden = map[string]bool{"table1": true, "fig4": true}
+
+// runBoth runs fig with opts at Parallel 1 and at Parallel 4 with 4
+// topology workers, and fails unless the typed rows, the text and the full
+// OnStats emission sequence are identical between the two runs.
+func runBoth(t *testing.T, fig Figure, opts Options) (serial, par goldenRun) {
+	t.Helper()
+	serialOpts := opts
+	serialOpts.Parallel, serialOpts.TopoWorkers = 1, 0
+	serial = runGolden(t, fig, serialOpts)
+	par = runGolden(t, fig, parallelOpts(opts))
+	if !reflect.DeepEqual(serial.rows, par.rows) {
+		t.Errorf("%s: typed rows differ between Parallel=1 and Parallel=4:\nserial   %+v\nparallel %+v", fig.Name, serial.rows, par.rows)
+	}
+	if serial.text != par.text {
+		t.Errorf("%s: text differs between Parallel=1 and Parallel=4\n%s", fig.Name, firstLineDiff(serial.text, par.text))
+	}
+	if !reflect.DeepEqual(serial.emits, par.emits) {
+		t.Errorf("%s: OnStats emission sequence differs between Parallel=1 and Parallel=4", fig.Name)
+	}
+	return serial, par
+}
+
+// parallelMatchesSerial is the determinism check for one catalog entry at
+// options other than the goldens': serial and parallel runs must agree
+// (runBoth), and a second parallel run must replay the first exactly.
+func parallelMatchesSerial(t *testing.T, name string, opts Options) {
+	t.Helper()
+	fig, ok := catalogEntry(name)
+	if !ok {
+		t.Fatalf("no catalog entry %q", name)
+	}
+	_, par := runBoth(t, fig, opts)
+	again := runGolden(t, fig, parallelOpts(opts))
+	if !reflect.DeepEqual(par.rows, again.rows) || par.text != again.text || !reflect.DeepEqual(par.emits, again.emits) {
+		t.Errorf("%s: two Parallel=4 runs with the same options differ\n%s", name, firstLineDiff(par.text, again.text))
+	}
+}
+
+// parallelOpts is opts with 4 figure-level workers and 4 host workers per
+// topology.
+func parallelOpts(opts Options) Options {
+	opts.Parallel, opts.TopoWorkers = 4, 4
+	return opts
+}
+
+func catalogEntry(name string) (Figure, bool) {
+	for _, fig := range Catalog() {
+		if fig.Name == name {
+			return fig, true
+		}
+	}
+	return Figure{}, false
+}
 
 // TestCatalogGolden pins every catalog entry's quick output and counters to
 // the committed goldens, serially and through the parallel runner (with a
@@ -85,12 +143,7 @@ func TestCatalogGolden(t *testing.T) {
 			continue
 		}
 		t.Run(fig.Name, func(t *testing.T) {
-			base := Options{Quick: true, Seed: 1, FaultSeed: 1}
-			serialOpts, parOpts := base, base
-			serialOpts.Parallel = 1
-			parOpts.Parallel, parOpts.TopoWorkers = 4, 4
-			serial := runGolden(t, fig, serialOpts)
-			par := runGolden(t, fig, parOpts)
+			serial, par := runBoth(t, fig, goldenOpts)
 
 			textPath := filepath.Join(goldenDir, fig.Name+".golden")
 			countPath := filepath.Join(goldenDir, fig.Name+".counters")
@@ -122,12 +175,6 @@ func TestCatalogGolden(t *testing.T) {
 				if leg.run.counts != string(wantCounts) {
 					t.Errorf("%s: counters differ from %s (label counter old → new):\n%s", leg.name, countPath, counterDiff(string(wantCounts), leg.run.counts, 20))
 				}
-			}
-			if !reflect.DeepEqual(serial.rows, par.rows) {
-				t.Errorf("typed rows differ between Parallel=1 and Parallel=4:\nserial   %+v\nparallel %+v", serial.rows, par.rows)
-			}
-			if !reflect.DeepEqual(serial.emits, par.emits) {
-				t.Error("OnStats emission sequence differs between Parallel=1 and Parallel=4")
 			}
 		})
 	}

@@ -80,3 +80,10 @@ func TestLossFigureShape(t *testing.T) {
 		}
 	}
 }
+
+// TestLossParallelMatchesSerial: the loss figure must be byte-identical for
+// any worker count, and exactly replayable with the same fault seed.
+func TestLossParallelMatchesSerial(t *testing.T) {
+	skipInShort(t)
+	parallelMatchesSerial(t, "loss", Options{Quick: true, FaultSeed: 7})
+}

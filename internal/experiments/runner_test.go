@@ -3,7 +3,11 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -128,5 +132,62 @@ func TestRunJobsConcurrencyAndTracerClamp(t *testing.T) {
 	}
 	if peak := maxInFlight(Options{Parallel: 4, Tracer: stats.NewTracer()}); peak != 1 {
 		t.Errorf("shared tracer must force serial, saw %d jobs in flight", peak)
+	}
+}
+
+// TestTable1ParallelMatchesSerial reproduces one real figure at several
+// worker counts; rows and rendered text must be byte-identical. Runs in
+// -short mode too, so the -race CI pass exercises the parallel path.
+func TestTable1ParallelMatchesSerial(t *testing.T) {
+	parallelMatchesSerial(t, "table1", Options{Quick: true})
+}
+
+// TestSuiteParallelMatchesSerial is the acceptance test for the suite
+// damnbench prints: RunSuite with Parallel=1 and Parallel=4 must both print
+// exactly the paper entries' goldens in catalog order, their counters must
+// be the goldens' counters, and the stats emissions must be deep-equal in
+// content and order between the two runs.
+func TestSuiteParallelMatchesSerial(t *testing.T) {
+	skipInShort(t)
+	var wantText strings.Builder
+	var wantCounts []string
+	for _, fig := range Catalog() {
+		if !fig.Paper {
+			continue
+		}
+		text, err := os.ReadFile(filepath.Join(goldenDir, fig.Name+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantText.Write(text)
+		counts, err := os.ReadFile(filepath.Join(goldenDir, fig.Name+".counters"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := strings.TrimSuffix(string(counts), "\n"); c != "" {
+			wantCounts = append(wantCounts, strings.Split(c, "\n")...)
+		}
+	}
+	sort.Strings(wantCounts)
+	want := strings.Join(wantCounts, "\n") + "\n"
+
+	run := func(parallel int) []emission {
+		var c capture
+		opts := goldenOpts
+		opts.Parallel = parallel
+		out, err := RunSuite(c.opts(opts))
+		if err != nil {
+			t.Fatalf("suite with Parallel=%d: %v", parallel, err)
+		}
+		if out != wantText.String() {
+			t.Errorf("suite output with Parallel=%d differs from the goldens\n%s", parallel, firstLineDiff(wantText.String(), out))
+		}
+		if got := counterLines(c.emits); got != want {
+			t.Errorf("suite counters with Parallel=%d differ from the goldens (label counter old → new):\n%s", parallel, counterDiff(want, got, 20))
+		}
+		return c.emits
+	}
+	if !reflect.DeepEqual(run(1), run(4)) {
+		t.Error("stats emissions differ between -parallel 1 and -parallel 4")
 	}
 }

@@ -96,3 +96,11 @@ func TestScalingFlowSelectionDeterministic(t *testing.T) {
 		t.Errorf("per-ring flow counts differ: %v vs %v", c1, c2)
 	}
 }
+
+// TestScalingParallelMatchesSerial is the determinism contract extended
+// through RSS: the same seed and flow set must hash to identical ring
+// assignments whatever the host-side worker count, so the scaling figure is
+// byte-identical for serial, parallel, and repeated runs.
+func TestScalingParallelMatchesSerial(t *testing.T) {
+	parallelMatchesSerial(t, "scaling", Options{Quick: true, Seed: 2})
+}
