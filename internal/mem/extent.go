@@ -144,9 +144,11 @@ func (m *Memory) ResidentBytes() int64 {
 	return n
 }
 
-// Release returns m's extents to the process-wide pool, which keeps up to
-// extentPoolCap of them and drops the rest for the GC. The Memory must not
-// be used afterwards: any data access panics. Release is optional — an
+// Release returns m's extents and page structs to the process-wide pools,
+// which keep up to extentPoolCap extents and pagePoolCap page structs and
+// drop the rest for the GC. The Memory must not be used afterwards: any
+// data or page-struct access panics, and a *Page or Bytes slice taken
+// earlier may already belong to another Memory. Release is optional — an
 // unreleased Memory is simply collected — and idempotent.
 func (m *Memory) Release() {
 	slots := m.extents
@@ -154,6 +156,8 @@ func (m *Memory) Release() {
 		return
 	}
 	m.extents = nil
+	putPages(m.pages)
+	m.pages = nil
 	extentPool.mu.Lock()
 	defer extentPool.mu.Unlock()
 	for i := range slots {

@@ -259,6 +259,43 @@ func TestAccessAfterReleasePanics(t *testing.T) {
 	mustPanic(t, "Zero after Release", func() { m.Zero(0, PageSize) })
 	mustPanic(t, "Bytes after Release", func() { m.Bytes(0, 1) })
 	mustPanic(t, "empty Bytes after Release", func() { m.Bytes(0, 0) })
+	mustPanic(t, "PageOf after Release", func() { m.PageOf(1) })
+}
+
+// TestRecycledPagesMatchFresh dirties every kind of page-struct state,
+// releases the memory and builds one of the same size, which takes the
+// pooled array: its page structs must equal those of a memory built from a
+// fresh array.
+func TestRecycledPagesMatchFresh(t *testing.T) {
+	const size, nodes = 4 * ExtentSize, 2
+	m := newTestMemory(t, size, nodes)
+	for order := 0; order <= MaxOrder; order++ {
+		if _, err := m.AllocPages(order, order%nodes); err != nil {
+			t.Fatalf("AllocPages(%d): %v", order, err)
+		}
+	}
+	for i := range m.pages {
+		p := &m.pages[i]
+		p.SetFlags(FlagDAMN)
+		p.Get()
+		p.Private, p.HeadPFN, p.Order = ^uint64(0), PFN(i+1), 7
+	}
+	dirty := &m.pages[0]
+	m.Release()
+
+	m = newTestMemory(t, size, nodes)
+	defer m.Release()
+	if &m.pages[0] != dirty {
+		t.Fatal("a memory of the released one's size did not recycle its page structs")
+	}
+	putPages(make([]Page, len(m.pages))) // a fresh array for the reference to take
+	ref := newTestMemory(t, size, nodes)
+	defer ref.Release()
+	for i := range m.pages {
+		if m.pages[i] != ref.pages[i] {
+			t.Fatalf("recycled page struct %d = %+v, fresh = %+v", i, &m.pages[i], &ref.pages[i])
+		}
+	}
 }
 
 // TestConcurrentMemoriesShareExtentPool builds, writes, checks and

@@ -74,7 +74,7 @@ func New(cfg Config) (*Memory, error) {
 	m := &Memory{
 		size:    size,
 		extents: make([]atomic.Pointer[extent], (size+extentMask)>>extentShift),
-		pages:   make([]Page, nPages),
+		pages:   takePages(nPages),
 		zones:   make([]*Zone, cfg.NUMANodes),
 	}
 	perNode := nPages / cfg.NUMANodes

@@ -15,6 +15,8 @@ package mem
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 )
 
@@ -136,3 +138,48 @@ func (p *Page) IsCompoundHead() bool { return p.Has(FlagHead) }
 
 // IsCompoundTail reports whether this page is a compound tail.
 func (p *Page) IsCompoundTail() bool { return p.Has(FlagTail) }
+
+// pagePoolCap bounds the page-struct free list in page structs: enough to
+// describe the simulated RAM that a full extent pool backs (12 MiB of host
+// memory). The page-struct array is the largest allocation a machine makes
+// (48 B per 4 KiB frame, 6 MiB for 512 MiB of RAM), and machines are built
+// and closed by the dozen per experiment; recycling it, like the extents,
+// keeps the Go heap from churning and refragmenting through one such array
+// per machine, which made a process's peak resident set depend on when its
+// collections happened to run.
+const pagePoolCap = extentPoolCap * pagesPerExtent
+
+// pagePool is the process-wide free list of page-struct arrays.
+var pagePool struct {
+	mu    sync.Mutex
+	free  [][]Page
+	pages int // page structs held in free
+}
+
+// takePages returns n zeroed page structs, recycling the most recently
+// pooled array of exactly that length if there is one.
+func takePages(n int) []Page {
+	pagePool.mu.Lock()
+	for i := len(pagePool.free) - 1; i >= 0; i-- {
+		if p := pagePool.free[i]; len(p) == n {
+			pagePool.free = slices.Delete(pagePool.free, i, i+1)
+			pagePool.pages -= n
+			pagePool.mu.Unlock()
+			clear(p)
+			return p
+		}
+	}
+	pagePool.mu.Unlock()
+	return make([]Page, n)
+}
+
+// putPages pools a released Memory's page structs if they fit under
+// pagePoolCap and leaves them to the GC otherwise.
+func putPages(p []Page) {
+	pagePool.mu.Lock()
+	defer pagePool.mu.Unlock()
+	if pagePool.pages+len(p) <= pagePoolCap {
+		pagePool.free = append(pagePool.free, p)
+		pagePool.pages += len(p)
+	}
+}
