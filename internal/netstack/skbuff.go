@@ -71,8 +71,10 @@ type SKBuff struct {
 	// segment (zero for local traffic) — the receiver's latency baseline.
 	Stamp sim.Time
 	// Owner carries the sending endpoint through the TX ring for
-	// completion dispatch.
-	Owner any
+	// completion dispatch. It is typed, not any: asserting an any to
+	// TxCompleter goes through the runtime's type-assertion cache, which
+	// now and then allocates a new cache on a random call.
+	Owner TxCompleter
 
 	// CopiedBytes counts TOCTTOU-defence copying on this skb (Fig 8).
 	CopiedBytes int

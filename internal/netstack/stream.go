@@ -231,7 +231,7 @@ type TxCompleter interface {
 // DispatchTxDone is a Driver.OnTxDone adapter routing completions back to
 // their owning endpoints.
 func DispatchTxDone(t *sim.Task, ring int, skb *SKBuff) {
-	if c, ok := skb.Owner.(TxCompleter); ok {
+	if c := skb.Owner; c != nil {
 		c.TxDone(t, skb)
 		return
 	}
